@@ -25,16 +25,20 @@ const goldenDigestPath = "testdata/golden_digests.txt"
 
 // goldenCells is the seeded mini-matrix behind TestGoldenTrajectoryDigests:
 // the two families whose hot paths carry the packed/shared-history layouts
-// (llbp and its tage-sc-l baseline) over two structurally different
-// workloads (Tomcat: context-heavy; Chirper: small working set).
+// (llbp and its tage-sc-l baseline) plus Inf TSL, whose infinite TAGE and
+// 18-bit corrector folds give the shared history engine a second shape,
+// over two structurally different workloads (Tomcat: context-heavy;
+// Chirper: small working set).
 var goldenCells = []struct {
 	Workload string
 	Family   string
 }{
 	{"Tomcat", "tage-sc-l"},
 	{"Tomcat", "llbp"},
+	{"Tomcat", "inftsl"},
 	{"Chirper", "tage-sc-l"},
 	{"Chirper", "llbp"},
+	{"Chirper", "inftsl"},
 }
 
 const (
@@ -59,6 +63,12 @@ func goldenDigest(t *testing.T, wlName, family string) string {
 	switch family {
 	case "tage-sc-l":
 		b, err := NewBaseline(Size64K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = b
+	case "inftsl":
+		b, err := NewBaseline(SizeInfTSL)
 		if err != nil {
 			t.Fatal(err)
 		}

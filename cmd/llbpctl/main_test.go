@@ -124,14 +124,14 @@ func TestCtlErrors(t *testing.T) {
 		args []string
 		code int
 	}{
-		{[]string{"-server", addr}, 2},                                      // no command
-		{[]string{"-server", addr, "frobnicate"}, 2},                        // unknown command
-		{[]string{"-server", addr, "submit", "-run", "fig99"}, 1},           // unknown preset
-		{[]string{"-server", addr, "submit", "-cells", "not-a-cell"}, 1},    // bad cell key
-		{[]string{"-server", addr, "cancel"}, 1},                            // missing id
-		{[]string{"-server", addr, "cancel", "job-deadbeef"}, 1},            // unknown id
-		{[]string{"-server", "127.0.0.1:1", "health"}, 1},                   // nothing listening
-		{[]string{"-server", addr, "submit", "-workloads", "NoSuchWL"}, 1},  // invalid workload
+		{[]string{"-server", addr}, 2},                                     // no command
+		{[]string{"-server", addr, "frobnicate"}, 2},                       // unknown command
+		{[]string{"-server", addr, "submit", "-run", "fig99"}, 1},          // unknown preset
+		{[]string{"-server", addr, "submit", "-cells", "not-a-cell"}, 1},   // bad cell key
+		{[]string{"-server", addr, "cancel"}, 1},                           // missing id
+		{[]string{"-server", addr, "cancel", "job-deadbeef"}, 1},           // unknown id
+		{[]string{"-server", "127.0.0.1:1", "health"}, 1},                  // nothing listening
+		{[]string{"-server", addr, "submit", "-workloads", "NoSuchWL"}, 1}, // invalid workload
 	}
 	for _, tc := range cases {
 		code, _, errb := ctl(t, "", tc.args...)

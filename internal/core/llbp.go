@@ -751,32 +751,3 @@ func (p *Predictor) OnPipelineReset() {
 
 // LastDetail implements predictor.Detailer.
 func (p *Predictor) LastDetail() predictor.Detail { return p.detail }
-
-// HistoryCheckpoint captures the composite predictor's speculative state:
-// the baseline's histories plus LLBP's history mirror and the rolling
-// context register — the exact state §V-E2 checkpoints per branch ("a
-// snapshot of the CCID and a pointer to the head of the RCR").
-type HistoryCheckpoint struct {
-	base *tsl.HistoryCheckpoint // path + SC histories (the engine is ours)
-	eng  history.EngineCheckpoint
-	rcr  []uint64
-}
-
-// CheckpointHistory snapshots the speculative history state. One engine
-// checkpoint covers the baseline's and LLBP's folds — they are the same
-// registers.
-func (p *Predictor) CheckpointHistory() *HistoryCheckpoint {
-	return &HistoryCheckpoint{
-		base: p.base.CheckpointHistory(),
-		eng:  p.eng.Checkpoint(),
-		rcr:  p.rcr.Snapshot(),
-	}
-}
-
-// RestoreHistory rewinds the speculative history state to a checkpoint
-// (the §V-E2 misprediction-recovery path).
-func (p *Predictor) RestoreHistory(cp *HistoryCheckpoint) {
-	p.base.RestoreHistory(cp.base)
-	p.eng.Restore(cp.eng)
-	p.rcr.Restore(cp.rcr)
-}

@@ -22,7 +22,6 @@ package core
 import (
 	"fmt"
 
-	"llbp/internal/assert"
 	"llbp/internal/trace"
 )
 
@@ -83,10 +82,10 @@ type RCR struct {
 	bits  int  // CID width in bits
 	shift bool // position-dependent shifting (§V-E3); false = plain XOR ablation
 
-	// Cached window hashes, refreshed on Push/Restore. The register
-	// contents only change there, while CCID is read every prediction —
-	// caching turns the per-branch read into a field load, as in hardware
-	// where the CID registers are latched once per context-feeding branch.
+	// Cached window hashes, refreshed on Push. The register contents
+	// only change there, while CCID is read every prediction — caching
+	// turns the per-branch read into a field load, as in hardware where
+	// the CID registers are latched once per context-feeding branch.
 	ccid uint64
 	pcid uint64
 
@@ -180,8 +179,8 @@ func (r *RCR) fold(h uint64) uint64 {
 }
 
 // refresh recomputes the unfolded window hashes from the ring buffer and
-// re-latches the cached CID registers (construction, Restore, and the
-// non-rolling wide-window fallback).
+// re-latches the cached CID registers (construction and the non-rolling
+// wide-window fallback).
 func (r *RCR) refresh() {
 	r.hc64 = r.windowXor(r.d)
 	r.hp64 = r.windowXor(0)
@@ -218,32 +217,6 @@ func (r *RCR) CCID() uint64 { return r.ccid }
 // PrefetchCID returns the context ID that will become current after D more
 // context-feeding branches.
 func (r *RCR) PrefetchCID() uint64 { return r.pcid }
-
-// Snapshot captures the register for checkpoint/rollback tests.
-func (r *RCR) Snapshot() []uint64 {
-	out := make([]uint64, len(r.pcs))
-	for i := range out {
-		pos := r.head - i
-		for pos < 0 {
-			pos += len(r.pcs)
-		}
-		out[i] = r.pcs[pos]
-	}
-	return out
-}
-
-// Restore rewinds the register to a snapshot taken with Snapshot.
-func (r *RCR) Restore(s []uint64) {
-	if len(s) != len(r.pcs) {
-		assert.Failf("core: RCR snapshot length %d != %d", len(s), len(r.pcs))
-		return
-	}
-	r.head = len(r.pcs) - 1
-	for i, pc := range s {
-		r.pcs[r.head-i] = pc
-	}
-	r.refresh()
-}
 
 // Window returns (W, D).
 func (r *RCR) Window() (w, d int) { return r.w, r.d }

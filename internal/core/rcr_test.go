@@ -106,25 +106,6 @@ func TestRCRCIDWidth(t *testing.T) {
 	}
 }
 
-func TestRCRSnapshotRestore(t *testing.T) {
-	r := NewRCR(6, 2, 20, true)
-	for i := 0; i < 30; i++ {
-		r.Push(uint64(0x1000 + i*12))
-	}
-	snap := r.Snapshot()
-	want := r.CCID()
-	for i := 0; i < 10; i++ {
-		r.Push(uint64(0x9000 + i*4))
-	}
-	r.Restore(snap)
-	if got := r.CCID(); got != want {
-		t.Errorf("restored CCID = %#x, want %#x", got, want)
-	}
-	if got := r.PrefetchCID(); got == 0 {
-		_ = got // value depends on content; just ensure no panic
-	}
-}
-
 func TestRCRWindowAccessor(t *testing.T) {
 	r := NewRCR(8, 4, 14, true)
 	if w, d := r.Window(); w != 8 || d != 4 {

@@ -126,4 +126,4 @@ func benchMatrix(b *testing.B, disable bool) {
 }
 
 func BenchmarkMatrixForkWarm(b *testing.B) { benchMatrix(b, false) }
-func BenchmarkMatrixDirect(b *testing.B)  { benchMatrix(b, true) }
+func BenchmarkMatrixDirect(b *testing.B)   { benchMatrix(b, true) }

@@ -1,18 +1,15 @@
 // Package history implements the branch-history machinery shared by the
-// TAGE-SC-L baseline and LLBP: a long global history register (GHR), the
-// folded (cyclic-shift-register) histories TAGE uses to hash thousands of
-// history bits on the fly, and a short path history.
+// TAGE-SC-L baseline and LLBP: a long global history register (GHR) and
+// the Engine that maintains every folded (cyclic-shift-register) history
+// the predictors hash thousands of history bits through.
 //
-// Keeping this machinery in one package guarantees TAGE and LLBP compute
-// identical hashes for identical history lengths — a requirement for the
-// paper's longest-match arbitration between the two predictors (§V-B).
+// One Engine per predictor owns the GHR and all folds, so TAGE, the
+// statistical corrector and LLBP compute identical hashes for identical
+// history lengths — a requirement for the paper's longest-match
+// arbitration between TAGE and LLBP (§V-B).
 package history
 
-import (
-	"fmt"
-
-	"llbp/internal/assert"
-)
+import "llbp/internal/assert"
 
 // MaxLength is the maximum supported global history length in bits. The
 // paper's longest table uses 3000 bits; 4096 leaves headroom.
@@ -49,16 +46,10 @@ func (g *Global) Bit(i int) uint64 {
 	return (g.bits[pos/64] >> (pos % 64)) & 1
 }
 
-// Snapshot captures the register state for later restoration.
-func (g *Global) Snapshot() Global { return *g }
-
-// Restore resets the register to a prior snapshot.
-func (g *Global) Restore(s Global) { *g = s }
-
 // Hash folds the most recent length bits of history into a width-bit value
-// by XOR-folding. This is the "recompute from scratch" reference used to
-// validate the incrementally maintained Folded registers; predictors use
-// Folded for speed.
+// by XOR-folding. This is the "recompute from scratch" reference the
+// Engine's incrementally maintained folds are validated against (and
+// seeded from on late registration); predictors read the Engine.
 // Callers must pass a validated width in [1,63]; debug builds
 // (-tags llbpdebug) panic on violations, release builds return 0.
 func (g *Global) Hash(length, width int) uint64 {
@@ -78,110 +69,3 @@ func (g *Global) Hash(length, width int) uint64 {
 	}
 	return h ^ chunk
 }
-
-// Folded is an incrementally maintained XOR-fold of the most recent
-// OrigLength history bits down to CompLength bits — the classic TAGE
-// folded-history register (Michaud, PPM-like predictor). Update must be
-// called exactly once per Global.Push, before pushing older bits out of
-// range, i.e. with the same Global the register folds.
-type Folded struct {
-	comp       uint64
-	mask       uint64 // 1<<CompLength - 1, precomputed for the per-branch update
-	CompLength int    // folded width in bits
-	OrigLength int    // history length being folded
-	outpoint   int    // OrigLength % CompLength
-}
-
-// NewFolded returns a folded register of origLength history bits compressed
-// to compLength bits.
-func NewFolded(origLength, compLength int) *Folded {
-	f := NewFoldedValue(origLength, compLength)
-	return &f
-}
-
-// NewFoldedValue is NewFolded by value, for predictors that keep their folded
-// registers in contiguous slices: per-branch fold maintenance walks every
-// register, so value slices trade one pointer chase per register for
-// hardware-prefetchable sequential loads.
-func NewFoldedValue(origLength, compLength int) Folded {
-	if compLength <= 0 || compLength > 63 {
-		panic(fmt.Sprintf("history: invalid folded width %d", compLength))
-	}
-	if origLength < 0 || origLength > MaxLength {
-		panic(fmt.Sprintf("history: invalid folded length %d", origLength))
-	}
-	return Folded{
-		mask:       uint64(1)<<uint(compLength) - 1,
-		CompLength: compLength,
-		OrigLength: origLength,
-		outpoint:   origLength % compLength,
-	}
-}
-
-// Update incorporates the newest history bit (just pushed into g) and
-// retires the bit that fell outside OrigLength.
-//
-// The caller must have already pushed the new outcome into g, so that
-// g.Bit(0) is the incoming bit and g.Bit(OrigLength) is the outgoing bit.
-func (f *Folded) Update(g *Global) {
-	if f.OrigLength == 0 {
-		return
-	}
-	f.UpdateBits(g.Bit(0), g.Bit(f.OrigLength))
-}
-
-// UpdateBits is Update with the incoming and outgoing history bits
-// already in hand. Predictors updating many folded registers per branch
-// use it to read each distinct bit from the Global register once —
-// the incoming bit is shared by every register and the outgoing bit by
-// every register of the same OrigLength — instead of twice per register.
-func (f *Folded) UpdateBits(in, out uint64) {
-	if f.OrigLength == 0 {
-		return
-	}
-	c := (f.comp << 1) | in
-	c ^= out << uint(f.outpoint)
-	c ^= c >> uint(f.CompLength)
-	f.comp = c & f.mask
-}
-
-// Value returns the current folded history.
-func (f *Folded) Value() uint64 { return f.comp }
-
-// Reset clears the folded state (matching an all-zero Global).
-func (f *Folded) Reset() { f.comp = 0 }
-
-// Snapshot captures the folded value for later restoration.
-func (f *Folded) Snapshot() uint64 { return f.comp }
-
-// Restore resets the folded value to a prior snapshot.
-func (f *Folded) Restore(v uint64) { f.comp = v }
-
-// Path is a short path-history register of branch-address bits, as used by
-// TAGE's index hash. Each branch shifts in one low-order PC bit.
-type Path struct {
-	bits uint64
-	len  int
-}
-
-// NewPath returns a path history of length bits (max 32).
-func NewPath(length int) *Path {
-	if length <= 0 || length > 32 {
-		panic(fmt.Sprintf("history: invalid path length %d", length))
-	}
-	return &Path{len: length}
-}
-
-// Push shifts one bit of the branch PC into the path history.
-func (p *Path) Push(pc uint64) {
-	p.bits = ((p.bits << 1) | (pc & 1)) & (uint64(1)<<uint(p.len) - 1)
-}
-
-// Value returns the current path history bits.
-func (p *Path) Value() uint64 { return p.bits }
-
-// Snapshot captures the path history.
-func (p *Path) Snapshot() uint64 { return p.bits }
-
-// Restore resets the path history to a prior snapshot.
-func (p *Path) Restore(v uint64) { p.bits = v }

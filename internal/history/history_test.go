@@ -2,9 +2,7 @@ package history
 
 import (
 	"llbp/internal/assert"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestGlobalPushAndBit(t *testing.T) {
@@ -39,106 +37,6 @@ func TestGlobalWrapAround(t *testing.T) {
 	}
 }
 
-func TestGlobalSnapshotRestore(t *testing.T) {
-	g := NewGlobal()
-	for i := 0; i < 100; i++ {
-		g.Push(i%2 == 0)
-	}
-	snap := g.Snapshot()
-	for i := 0; i < 50; i++ {
-		g.Push(true)
-	}
-	g.Restore(snap)
-	for i := 0; i < 100; i++ {
-		want := uint64(0)
-		if (99-i)%2 == 0 {
-			want = 1
-		}
-		if got := g.Bit(i); got != want {
-			t.Fatalf("after restore, Bit(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
-// TestFoldedMatchesReference is the central property: the incrementally
-// maintained folded register must always equal the XOR-fold recomputed
-// from scratch over the global history.
-func TestFoldedMatchesReference(t *testing.T) {
-	type cfg struct{ origLen, compLen int }
-	cfgs := []cfg{
-		{4, 10}, {12, 13}, {54, 12}, {112, 11}, {161, 13},
-		{482, 9}, {1444, 13}, {3000, 13}, {10, 10}, {13, 13},
-	}
-	rng := rand.New(rand.NewSource(42))
-	g := NewGlobal()
-	folds := make([]*Folded, len(cfgs))
-	for i, c := range cfgs {
-		folds[i] = NewFolded(c.origLen, c.compLen)
-	}
-	for step := 0; step < 8000; step++ {
-		g.Push(rng.Intn(2) == 0)
-		for i, f := range folds {
-			f.Update(g)
-			if step%257 == 0 { // full check is O(len); sample it
-				want := g.Hash(cfgs[i].origLen, cfgs[i].compLen)
-				if f.Value() != want {
-					t.Fatalf("step %d: fold(%d->%d) = %#x, want %#x",
-						step, cfgs[i].origLen, cfgs[i].compLen, f.Value(), want)
-				}
-			}
-		}
-	}
-}
-
-func TestFoldedZeroLength(t *testing.T) {
-	g := NewGlobal()
-	f := NewFolded(0, 10)
-	for i := 0; i < 100; i++ {
-		g.Push(i%2 == 0)
-		f.Update(g)
-		if f.Value() != 0 {
-			t.Fatal("zero-length fold must stay 0")
-		}
-	}
-}
-
-func TestFoldedSnapshotRestore(t *testing.T) {
-	g := NewGlobal()
-	f := NewFolded(54, 13)
-	for i := 0; i < 200; i++ {
-		g.Push(i%5 == 0)
-		f.Update(g)
-	}
-	snap := f.Snapshot()
-	v := f.Value()
-	g.Push(true)
-	f.Update(g)
-	f.Restore(snap)
-	if f.Value() != v {
-		t.Errorf("restore gave %#x, want %#x", f.Value(), v)
-	}
-}
-
-func TestFoldedReset(t *testing.T) {
-	g := NewGlobal()
-	f := NewFolded(20, 8)
-	for i := 0; i < 50; i++ {
-		g.Push(true)
-		f.Update(g)
-	}
-	f.Reset()
-	if f.Value() != 0 {
-		t.Error("Reset must zero the fold")
-	}
-}
-
-func TestFoldedPanicsOnBadArgs(t *testing.T) {
-	mustPanic(t, func() { NewFolded(10, 0) })
-	mustPanic(t, func() { NewFolded(10, 64) })
-	mustPanic(t, func() { NewFolded(-1, 10) })
-	mustPanic(t, func() { NewFolded(MaxLength+1, 10) })
-}
-
 func TestGlobalHashPanicsOnBadWidth(t *testing.T) {
 	g := NewGlobal()
 	if assert.Enabled {
@@ -155,62 +53,6 @@ func TestGlobalHashPanicsOnBadWidth(t *testing.T) {
 	}
 }
 
-func TestPathHistory(t *testing.T) {
-	p := NewPath(8)
-	pcs := []uint64{1, 0, 1, 1, 0, 0, 1, 0}
-	for _, pc := range pcs {
-		p.Push(pc)
-	}
-	// Oldest bit first when reading MSB->LSB: 10110010.
-	if got := p.Value(); got != 0b10110010 {
-		t.Errorf("path = %#b, want 0b10110010", got)
-	}
-	// Pushing beyond length drops the oldest bit.
-	p.Push(1)
-	if got := p.Value(); got != 0b01100101 {
-		t.Errorf("path after extra push = %#b, want 0b01100101", got)
-	}
-}
-
-func TestPathSnapshotRestore(t *testing.T) {
-	p := NewPath(16)
-	for i := 0; i < 30; i++ {
-		p.Push(uint64(i))
-	}
-	s := p.Snapshot()
-	p.Push(1)
-	p.Restore(s)
-	if p.Value() != s {
-		t.Error("path restore mismatch")
-	}
-}
-
-func TestPathPanicsOnBadLength(t *testing.T) {
-	mustPanic(t, func() { NewPath(0) })
-	mustPanic(t, func() { NewPath(33) })
-}
-
-// TestFoldedPropertyRandomConfigs fuzzes fold configurations against the
-// reference implementation with testing/quick.
-func TestFoldedPropertyRandomConfigs(t *testing.T) {
-	f := func(origSeed, compSeed uint16, streamSeed int64) bool {
-		origLen := int(origSeed%600) + 1
-		compLen := int(compSeed%12) + 5 // 5..16
-		g := NewGlobal()
-		fold := NewFolded(origLen, compLen)
-		rng := rand.New(rand.NewSource(streamSeed))
-		steps := origLen + 200
-		for i := 0; i < steps; i++ {
-			g.Push(rng.Intn(2) == 0)
-			fold.Update(g)
-		}
-		return fold.Value() == g.Hash(origLen, compLen)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func mustPanic(t *testing.T, fn func()) {
 	t.Helper()
 	defer func() {
@@ -219,21 +61,6 @@ func mustPanic(t *testing.T, fn func()) {
 		}
 	}()
 	fn()
-}
-
-func BenchmarkFoldedUpdate(b *testing.B) {
-	g := NewGlobal()
-	folds := make([]*Folded, 21)
-	for i := range folds {
-		folds[i] = NewFolded(12+i*140, 13)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Push(i&3 == 0)
-		for _, f := range folds {
-			f.Update(g)
-		}
-	}
 }
 
 func BenchmarkGlobalHashReference(b *testing.B) {

@@ -19,7 +19,7 @@ func (p *Predictor) Predict(pc uint64) bool {
 
 // scan is hot via Predict: one hop below the root.
 func (p *Predictor) scan(pc uint64) int {
-	s := make([]int, 4) // want hotpath:"allocates \\(make\\)"
+	s := make([]int, 4)      // want hotpath:"allocates \\(make\\)"
 	for k := range p.cache { // want hotpath:"map access \\(range\\)"
 		_ = k
 	}

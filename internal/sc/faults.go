@@ -9,8 +9,7 @@ import (
 // FaultFields implements faults.Surface: the GEHL component tables and the
 // bias table are the corrector's SRAM payload. (The local and IMLI banks
 // are small register-file-class structures and are left out of the fault
-// model, as is the speculative history — flip studies target the bulk
-// counter arrays.) Parity granularity is one counter; a detected flip
+// model — flip studies target the bulk counter arrays.) Parity granularity is one counter; a detected flip
 // resets the counter to the neutral weakly-not-taken state (0).
 func (c *Corrector) FaultFields() []faults.Field {
 	bits := c.cfg.CounterBits

@@ -1,13 +1,13 @@
 package sc
 
-import "llbp/internal/history"
-
 // Fork returns an independent deep copy of the corrector: every counter
-// bank, the global and folded histories, the adaptive threshold, the
-// local/IMLI components and the Predict/Update scratch. Training either
-// copy never affects the other. Telemetry instruments are not carried
-// across; attach a registry to the child explicitly. Call at a branch
-// boundary (after Update, before the next Correct).
+// bank, the adaptive threshold, the local/IMLI components and the
+// Predict/Update scratch. Training either copy never affects the other.
+// The fold locations are shared: they are fixed at construction and
+// valid in the clone of the history engine the fork's owner passes to
+// Correct. Telemetry instruments are not carried across; attach a
+// registry to the child explicitly. Call at a branch boundary (after
+// Update, before the next Correct).
 func (c *Corrector) Fork() *Corrector {
 	out := *c
 	out.tables = make([][]int8, len(c.tables))
@@ -15,9 +15,6 @@ func (c *Corrector) Fork() *Corrector {
 		out.tables[i] = append([]int8(nil), c.tables[i]...)
 	}
 	out.bias = append([]int8(nil), c.bias...)
-	out.folds = append([]history.Folded(nil), c.folds...)
-	ghr := c.ghr.Snapshot()
-	out.ghr = &ghr
 	out.lastIdx = append([]uint32(nil), c.lastIdx...)
 	if c.local != nil {
 		out.local = c.local.fork()

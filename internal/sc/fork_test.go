@@ -5,9 +5,13 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"llbp/internal/history"
 )
 
-func driveSC(c *Corrector, seed int64, n int) []byte {
+// driveSC runs n random branches through c, pushing eng once per branch
+// after Update as the corrector's owner does.
+func driveSC(c *Corrector, eng *history.Engine, seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]byte, 0, n)
 	for i := 0; i < n; i++ {
@@ -18,9 +22,9 @@ func driveSC(c *Corrector, seed int64, n int) []byte {
 		if rng.Intn(4) == 0 {
 			target = pc - 32
 		}
-		got := c.Correct(pc, tageTaken, rng.Intn(5) == 0)
+		got := c.Correct(eng, pc, tageTaken, rng.Intn(5) == 0)
 		c.UpdateWithTarget(pc, target, taken)
-		c.Push(taken)
+		eng.Push(taken)
 		if got == taken {
 			out = append(out, 1)
 		} else {
@@ -32,27 +36,31 @@ func driveSC(c *Corrector, seed int64, n int) []byte {
 
 // TestForkEquivalence: fork-then-diverge must match two independently
 // warmed twins byte for byte across the GEHL banks, the bias table, the
-// adaptive threshold, and the local/IMLI components.
+// adaptive threshold, and the local/IMLI components. The child reads a
+// clone of the parent's engine, as a forked owner passes it.
 func TestForkEquivalence(t *testing.T) {
 	const warm, diverge = 6000, 4000
-	mk := func() *Corrector {
-		c, err := New(DefaultConfig())
+	mk := func() (*Corrector, *history.Engine) {
+		eng := history.NewEngine()
+		c, err := New(DefaultConfig(), eng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c
+		return c, eng
 	}
-	parent, twinP, twinC := mk(), mk(), mk()
-	driveSC(parent, 11, warm)
-	driveSC(twinP, 11, warm)
-	driveSC(twinC, 11, warm)
+	parent, parentEng := mk()
+	twinP, twinPEng := mk()
+	twinC, twinCEng := mk()
+	driveSC(parent, parentEng, 11, warm)
+	driveSC(twinP, twinPEng, 11, warm)
+	driveSC(twinC, twinCEng, 11, warm)
 
-	child := parent.Fork()
+	child, childEng := parent.Fork(), parentEng.Clone()
 
-	gotP := driveSC(parent, 22, diverge)
-	wantP := driveSC(twinP, 22, diverge)
-	gotC := driveSC(child, 33, diverge)
-	wantC := driveSC(twinC, 33, diverge)
+	gotP := driveSC(parent, parentEng, 22, diverge)
+	wantP := driveSC(twinP, twinPEng, 22, diverge)
+	gotC := driveSC(child, childEng, 33, diverge)
+	wantC := driveSC(twinC, twinCEng, 33, diverge)
 
 	if !bytes.Equal(gotP, wantP) {
 		t.Error("parent outcome stream diverged from unforked twin")

@@ -4,12 +4,15 @@
 // corrector observes TAGE's prediction and flips it when the weighted vote
 // disagrees with sufficient confidence — catching statistically biased
 // branches that partial matching mispredicts (§II-B).
+//
+// The corrector keeps no global history of its own: its component folds
+// live in the history.Engine of the TAGE it corrects, which advances them
+// with the rest of the composite's folds in its one push per branch.
 package sc
 
 import (
 	"fmt"
 
-	"llbp/internal/assert"
 	"llbp/internal/history"
 	"llbp/internal/telemetry"
 )
@@ -53,11 +56,10 @@ type Corrector struct {
 	cfg    Config
 	tables [][]int8
 	bias   []int8
-	// Value slice: Push walks every register per branch (see
-	// history.NewFoldedValue). Zero-length components are no-op registers
-	// (OrigLength 0) rather than nils.
-	folds  []history.Folded
-	ghr    *history.Global
+	// folds[i] locates component i's (HistLengths[i], LogEntries) fold in
+	// the history engine; PC-only components have Word -1. Locations are
+	// fixed at construction and valid in every clone of the engine.
+	folds []history.Loc
 
 	// Dynamic update threshold (Seznec's adaptive threshold): the
 	// corrector trains when |sum| < threshold or on a misprediction, and
@@ -92,10 +94,11 @@ func (c *Corrector) AttachTelemetry(reg *telemetry.Registry) {
 // Reversals returns how many predictions the corrector has flipped.
 func (c *Corrector) Reversals() uint64 { return c.reversals }
 
-// New constructs a corrector. The corrector maintains its own global
-// history (updated via Push) so it can be composed with any primary
-// predictor.
-func New(cfg Config) (*Corrector, error) {
+// New constructs a corrector whose component folds are registered on eng.
+// The corrector never pushes eng: its owner advances it exactly once per
+// branch — the outcome of a conditional branch, taken for any other —
+// after Update, and passes the same engine (or a clone of it) to Correct.
+func New(cfg Config, eng *history.Engine) (*Corrector, error) {
 	if len(cfg.HistLengths) == 0 {
 		return nil, fmt.Errorf("sc: no components configured")
 	}
@@ -107,17 +110,17 @@ func New(cfg Config) (*Corrector, error) {
 	}
 	c := &Corrector{
 		cfg:       cfg,
-		ghr:       history.NewGlobal(),
 		threshold: 5,
 		lastIdx:   make([]uint32, len(cfg.HistLengths)),
 	}
 	c.tables = make([][]int8, len(cfg.HistLengths))
-	c.folds = make([]history.Folded, len(cfg.HistLengths))
+	c.folds = make([]history.Loc, len(cfg.HistLengths))
 	for i, h := range cfg.HistLengths {
-		c.tables[i] = make([]int8, 1<<uint(cfg.LogEntries))
-		if h > 0 {
-			c.folds[i] = history.NewFoldedValue(h, cfg.LogEntries)
+		if h < 0 || h > history.MaxLength {
+			return nil, fmt.Errorf("sc: history length %d out of range [0,%d]", h, history.MaxLength)
 		}
+		c.tables[i] = make([]int8, 1<<uint(cfg.LogEntries))
+		c.folds[i] = eng.Loc(eng.Register(h, cfg.LogEntries))
 	}
 	c.bias = make([]int8, 1<<uint(cfg.LogEntries))
 	if !cfg.DisableLocal {
@@ -135,11 +138,17 @@ func (c *Corrector) ctrMax() int8 { return int8(1)<<(c.cfg.CounterBits-1) - 1 }
 func (c *Corrector) ctrMin() int8 { return -int8(1) << (c.cfg.CounterBits - 1) }
 
 // Correct computes the corrected prediction given TAGE's prediction for
-// pc. It must be followed by exactly one Update for the same branch.
-func (c *Corrector) Correct(pc uint64, tageTaken bool, tageConfident bool) bool {
+// pc, reading the component folds from eng — the engine New registered
+// them on, or a clone of it — before this branch's push. It must be
+// followed by exactly one Update for the same branch.
+func (c *Corrector) Correct(eng *history.Engine, pc uint64, tageTaken bool, tageConfident bool) bool {
+	words := eng.Words()
 	sum := 0
 	for i := range c.tables {
-		h := c.folds[i].Value()
+		var h uint64
+		if l := c.folds[i]; l.Word >= 0 {
+			h = (words[l.Word] >> l.Shift) & l.Mask
+		}
 		idx := uint32((pc>>2)^(pc>>7)^h^uint64(i)*0x9e37) & c.mask()
 		c.lastIdx[i] = idx
 		sum += int(c.tables[i][idx])
@@ -238,16 +247,6 @@ func (c *Corrector) UpdateWithTarget(pc, target uint64, taken bool) {
 	}
 }
 
-// Push advances the corrector's global history by one branch outcome.
-func (c *Corrector) Push(taken bool) {
-	c.ghr.Push(taken)
-	in := c.ghr.Bit(0)
-	for i := range c.folds {
-		f := &c.folds[i]
-		f.UpdateBits(in, c.ghr.Bit(f.OrigLength))
-	}
-}
-
 // Flipped reports whether the last Correct call overrode TAGE.
 func (c *Corrector) Flipped() bool { return c.lastFlip }
 
@@ -273,31 +272,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// HistoryCheckpoint captures the corrector's speculative history state.
-type HistoryCheckpoint struct {
-	ghr   history.Global
-	folds []uint64
-}
-
-// CheckpointHistory snapshots the corrector's global and folded histories.
-func (c *Corrector) CheckpointHistory() *HistoryCheckpoint {
-	cp := &HistoryCheckpoint{ghr: c.ghr.Snapshot(), folds: make([]uint64, len(c.folds))}
-	for i := range c.folds {
-		cp.folds[i] = c.folds[i].Snapshot()
-	}
-	return cp
-}
-
-// RestoreHistory rewinds the corrector's histories to a checkpoint.
-func (c *Corrector) RestoreHistory(cp *HistoryCheckpoint) {
-	if len(cp.folds) != len(c.folds) {
-		assert.Failf("sc: checkpoint for %d components restored into %d", len(cp.folds), len(c.folds))
-		return
-	}
-	c.ghr.Restore(cp.ghr)
-	for i := range c.folds {
-		c.folds[i].Restore(cp.folds[i])
-	}
 }

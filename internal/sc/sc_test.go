@@ -3,15 +3,21 @@ package sc
 import (
 	"math/rand"
 	"testing"
+
+	"llbp/internal/history"
 )
 
-func mustNew(t *testing.T) *Corrector {
+// mustNew returns a default corrector and the history engine its folds
+// live on. Tests push the engine once per branch after Update, as the
+// corrector's owner does.
+func mustNew(t *testing.T) (*Corrector, *history.Engine) {
 	t.Helper()
-	c, err := New(DefaultConfig())
+	eng := history.NewEngine()
+	c, err := New(DefaultConfig(), eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, eng
 }
 
 func TestValidation(t *testing.T) {
@@ -20,9 +26,11 @@ func TestValidation(t *testing.T) {
 		{HistLengths: []int{0, 4}, LogEntries: 2, CounterBits: 6},
 		{HistLengths: []int{0, 4}, LogEntries: 10, CounterBits: 1},
 		{HistLengths: []int{0, 4}, LogEntries: 25, CounterBits: 6},
+		{HistLengths: []int{0, history.MaxLength + 1}, LogEntries: 10, CounterBits: 6},
+		{HistLengths: []int{-1, 4}, LogEntries: 10, CounterBits: 6},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := New(cfg, history.NewEngine()); err == nil {
 			t.Errorf("config %d must fail validation", i)
 		}
 	}
@@ -39,16 +47,16 @@ func TestScaled(t *testing.T) {
 // what a (deliberately wrong) primary prediction says, with no
 // history-dependence — the statistically biased case the corrector is for.
 func TestLearnsAntiCorrelation(t *testing.T) {
-	c := mustNew(t)
+	c, eng := mustNew(t)
 	pc := uint64(0x4400)
 	flips := 0
 	const rounds = 2000
 	for i := 0; i < rounds; i++ {
 		// TAGE (simulated) always predicts not-taken with low
 		// confidence; the real outcome is always taken.
-		got := c.Correct(pc, false, false)
+		got := c.Correct(eng, pc, false, false)
 		c.Update(pc, true)
-		c.Push(true)
+		eng.Push(true)
 		if got {
 			flips++
 		}
@@ -61,15 +69,15 @@ func TestLearnsAntiCorrelation(t *testing.T) {
 // TestRespectsConfidentTAGE: the corrector must not flip confident
 // primary predictions.
 func TestRespectsConfidentTAGE(t *testing.T) {
-	c := mustNew(t)
+	c, eng := mustNew(t)
 	pc := uint64(0x4400)
 	// Train the corrector toward taken.
 	for i := 0; i < 500; i++ {
-		c.Correct(pc, false, false)
+		c.Correct(eng, pc, false, false)
 		c.Update(pc, true)
-		c.Push(true)
+		eng.Push(true)
 	}
-	if got := c.Correct(pc, false, true); got {
+	if got := c.Correct(eng, pc, false, true); got {
 		t.Error("must not override a confident TAGE prediction")
 	}
 	c.Update(pc, true)
@@ -80,7 +88,7 @@ func TestRespectsConfidentTAGE(t *testing.T) {
 // the raw primary prediction accuracy (flipping on noise is allowed, net
 // damage is not).
 func TestDoesNotHurtRandom(t *testing.T) {
-	c := mustNew(t)
+	c, eng := mustNew(t)
 	rng := rand.New(rand.NewSource(3))
 	pc := uint64(0x999000)
 	rawCorrect, scCorrect := 0, 0
@@ -88,9 +96,9 @@ func TestDoesNotHurtRandom(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		taken := rng.Intn(2) == 0
 		tagePred := rng.Intn(2) == 0
-		got := c.Correct(pc, tagePred, false)
+		got := c.Correct(eng, pc, tagePred, false)
 		c.Update(pc, taken)
-		c.Push(taken)
+		eng.Push(taken)
 		if tagePred == taken {
 			rawCorrect++
 		}
@@ -107,16 +115,16 @@ func TestDoesNotHurtRandom(t *testing.T) {
 // GEHL components see folded history and can pick up the correlation that
 // a (simulated weak) primary predictor misses.
 func TestHistoryCorrelation(t *testing.T) {
-	c := mustNew(t)
+	c, eng := mustNew(t)
 	pc := uint64(0x5500)
 	hist := []bool{true, true, false}
 	correct := 0
 	const rounds = 4000
 	for i := 0; i < rounds; i++ {
 		taken := hist[len(hist)-3]
-		got := c.Correct(pc, false, false)
+		got := c.Correct(eng, pc, false, false)
 		c.Update(pc, taken)
-		c.Push(taken)
+		eng.Push(taken)
 		hist = append(hist, taken)
 		if i > rounds/2 && got == taken {
 			correct++
@@ -131,14 +139,14 @@ func TestHistoryCorrelation(t *testing.T) {
 }
 
 func TestFlippedAccessor(t *testing.T) {
-	c := mustNew(t)
+	c, eng := mustNew(t)
 	pc := uint64(0x4400)
 	for i := 0; i < 500; i++ {
-		c.Correct(pc, false, false)
+		c.Correct(eng, pc, false, false)
 		c.Update(pc, true)
-		c.Push(true)
+		eng.Push(true)
 	}
-	got := c.Correct(pc, false, false)
+	got := c.Correct(eng, pc, false, false)
 	if got && !c.Flipped() {
 		t.Error("Flipped() must report the override")
 	}
@@ -146,7 +154,7 @@ func TestFlippedAccessor(t *testing.T) {
 }
 
 func TestStorageBits(t *testing.T) {
-	c := mustNew(t)
+	c, _ := mustNew(t)
 	cfg := DefaultConfig()
 	// Components + bias + local bank + IMLI bank, plus the local
 	// history registers.
@@ -157,7 +165,7 @@ func TestStorageBits(t *testing.T) {
 	lean := cfg
 	lean.DisableLocal = true
 	lean.DisableIMLI = true
-	cl, err := New(lean)
+	cl, err := New(lean, history.NewEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +178,7 @@ func TestStorageBits(t *testing.T) {
 // outcome fires only on iteration 5 of 8 — invisible to the bias table,
 // directly indexed by the IMLI counter.
 func TestIMLILearnsIterationCorrelatedBranch(t *testing.T) {
-	c := mustNew(t)
+	c, eng := mustNew(t)
 	loopPC := uint64(0x7000)
 	bodyPC := uint64(0x7004)
 	correct, total := 0, 0
@@ -179,17 +187,17 @@ func TestIMLILearnsIterationCorrelatedBranch(t *testing.T) {
 		for iter := 0; iter < 8; iter++ {
 			// Loop back-edge: taken 7 times, then falls through.
 			backTaken := iter < 7
-			got := c.Correct(loopPC, true, false)
+			got := c.Correct(eng, loopPC, true, false)
 			_ = got
 			c.UpdateWithTarget(loopPC, loopPC-0x40, backTaken)
-			c.Push(backTaken)
+			eng.Push(backTaken)
 			// Body branch: taken only on iteration 5; TAGE
 			// (simulated) blindly predicts not-taken with low
 			// confidence.
 			taken := iter == 5
-			pred := c.Correct(bodyPC, false, false)
+			pred := c.Correct(eng, bodyPC, false, false)
 			c.UpdateWithTarget(bodyPC, bodyPC+4, taken)
-			c.Push(taken)
+			eng.Push(taken)
 			if r > rounds/2 {
 				total++
 				if pred == taken {

@@ -8,17 +8,12 @@ package service_test
 
 import (
 	"context"
-	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"llbp/internal/chaos"
 	"llbp/internal/experiments"
-	"llbp/internal/harness"
 	"llbp/internal/service"
-	"llbp/internal/service/client"
-	"llbp/internal/telemetry"
 )
 
 // startChaosDaemon is startDaemon with failure-domain knobs: a chaos
@@ -26,44 +21,16 @@ import (
 // further option tweaks.
 func startChaosDaemon(t *testing.T, dir string, workers int, inj *chaos.Injector, tweak func(*service.Options)) *daemon {
 	t.Helper()
-	reg := telemetry.NewRegistry()
-	cellJ, err := harness.OpenJournal(filepath.Join(dir, "llbpd.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := experiments.Config{
-		Warmup: 1, Measure: 1,
-		Parallelism: workers,
-		Journal:     cellJ,
-		Telemetry:   reg,
-	}
-	var srv *service.Server
-	cfg.CellProgress = func(key string, processed, total uint64) {
-		if srv != nil {
-			srv.CellProgress(key, processed, total)
+	d := newDaemon(t, dir, workers, func(o *service.Options) {
+		o.LeaseTTL = 300 * time.Millisecond
+		o.SupervisorInterval = 50 * time.Millisecond
+		o.Chaos = inj
+		if tweak != nil {
+			tweak(o)
 		}
-	}
-	h := experiments.NewHarness(cfg)
-	opt := service.Options{
-		Runner:             h,
-		Workers:            workers,
-		QueueDepth:         8,
-		LeaseTTL:           300 * time.Millisecond,
-		SupervisorInterval: 50 * time.Millisecond,
-		Chaos:              inj,
-		Registry:           reg,
-		JobLogPath:         filepath.Join(dir, "llbpd.journal.jobs"),
-	}
-	if tweak != nil {
-		tweak(&opt)
-	}
-	srv, err = service.New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	hs := httptest.NewServer(srv.Handler())
-	return &daemon{srv: srv, hs: hs, cl: client.New(hs.URL), reg: reg, cellJ: cellJ}
+	})
+	d.srv.Start()
+	return d
 }
 
 // counter reads one service counter from the daemon's registry.
@@ -259,21 +226,26 @@ func TestChaosJournalTearRestart(t *testing.T) {
 	}
 	got1, _ := collectStream(t, ctx, d1, st.ID)
 	assertByteIdentical(t, cells, got1, ref)
-	if n := inj.Count(chaos.JournalTear); n < 3 {
-		t.Fatalf("job log saw %d writes, tear rule never fired", n)
-	}
 	// SIGKILL-style stop: no drain, no clean journal close.
 	d1.srv.Kill()
 	d1.hs.Close()
+	// The worker writes the terminal record after the job turns terminal,
+	// so the stream's done event can overtake that write; Kill returns
+	// only once the worker has exited, so the write has happened by now.
+	if n := inj.Count(chaos.JournalTear); n < 3 {
+		t.Fatalf("job log saw %d writes, tear rule never fired", n)
+	}
 
 	// Restart chaos-free on the same files. The torn terminal record is
 	// dropped by the journal's tail repair, so the job comes back queued
 	// and re-runs — against a cell journal that already holds every cell.
-	d2 := startDaemon(t, dir, 1)
-	defer d2.stop(t)
+	// The recovered state is read before the workers start.
+	d2 := newDaemon(t, dir, 1, nil)
 	if jst, ok := d2.srv.Job(st.ID); !ok || jst.State != service.StateQueued {
 		t.Fatalf("after torn terminal record, resumed job = %+v, %v; want queued", jst, ok)
 	}
+	d2.srv.Start()
+	defer d2.stop(t)
 	got2, events := collectStream(t, ctx, d2, st.ID)
 	assertByteIdentical(t, cells, got2, ref)
 	if events != len(cells) {

@@ -18,14 +18,18 @@ import (
 // daemon is an in-process llbpd: a real experiments.Harness wired into a
 // service.Server behind a real HTTP listener, mirroring cmd/llbpd.
 type daemon struct {
-	srv  *service.Server
-	hs   *httptest.Server
-	cl   *client.Client
-	reg  *telemetry.Registry
+	srv   *service.Server
+	hs    *httptest.Server
+	cl    *client.Client
+	reg   *telemetry.Registry
 	cellJ *harness.Journal
 }
 
-func startDaemon(t *testing.T, dir string, workers int) *daemon {
+// newDaemon builds a daemon over the journals in dir and serves its HTTP
+// API, but does not start its workers: what service.New recovered from
+// the journals can be inspected before any worker claims a job. tweak,
+// when non-nil, adjusts the server options.
+func newDaemon(t *testing.T, dir string, workers int, tweak func(*service.Options)) *daemon {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	cellJ, err := harness.OpenJournal(filepath.Join(dir, "llbpd.journal"))
@@ -45,19 +49,30 @@ func startDaemon(t *testing.T, dir string, workers int) *daemon {
 		}
 	}
 	h := experiments.NewHarness(cfg)
-	srv, err = service.New(service.Options{
+	opt := service.Options{
 		Runner:     h,
 		Workers:    workers,
 		QueueDepth: 8,
 		Registry:   reg,
 		JobLogPath: filepath.Join(dir, "llbpd.journal.jobs"),
-	})
+	}
+	if tweak != nil {
+		tweak(&opt)
+	}
+	srv, err = service.New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Start()
 	hs := httptest.NewServer(srv.Handler())
 	return &daemon{srv: srv, hs: hs, cl: client.New(hs.URL), reg: reg, cellJ: cellJ}
+}
+
+// startDaemon is newDaemon with its workers started.
+func startDaemon(t *testing.T, dir string, workers int) *daemon {
+	t.Helper()
+	d := newDaemon(t, dir, workers, nil)
+	d.srv.Start()
+	return d
 }
 
 func (d *daemon) stop(t *testing.T) {
@@ -220,11 +235,14 @@ func TestE2EKillResume(t *testing.T) {
 
 	// Restart: a fresh harness + server over the same journal files. The
 	// job must come back queued, restore the journaled cells without
-	// recomputing them, and finish the rest.
-	d2 := startDaemon(t, dir, 1)
+	// recomputing them, and finish the rest. The recovered state is read
+	// before the workers start: once they run, the job may already be
+	// claimed.
+	d2 := newDaemon(t, dir, 1, nil)
 	if jst, ok := d2.srv.Job(st.ID); !ok || jst.State != service.StateQueued {
 		t.Fatalf("resumed job state = %+v, %v; want queued", jst, ok)
 	}
+	d2.srv.Start()
 	streamed := make(map[string][]byte)
 	var final *service.StreamEvent
 	err = d2.cl.Stream(ctx, st.ID, true, func(ev service.StreamEvent) error {

@@ -35,21 +35,21 @@ type job struct {
 	// quota slot on reaching a terminal state.
 	tenantReleased atomic.Bool
 
-	mu        sync.Mutex
-	state     State
-	epoch     uint64 // dispatch generation; bumped by every claim
-	lease     lease  // current owner, zero when unowned
+	mu    sync.Mutex
+	state State
+	epoch uint64 // dispatch generation; bumped by every claim
+	lease lease  // current owner, zero when unowned
 	// submittedAt and claimedAt feed the claim-latency and job-duration
 	// histograms (submittedAt is the admission time — resume time for
 	// restarted jobs; claimedAt is the latest dispatch's claim time).
 	submittedAt time.Time
 	claimedAt   time.Time
-	events    []StreamEvent // persisted "cell" + "done" events; Seq = index+1
-	doneCells map[int]bool  // cell indices already evented (dedup across re-dispatch)
-	completed int
-	failed    int
-	progress  StreamEvent
-	progSeq   uint64
+	events      []StreamEvent // persisted "cell" + "done" events; Seq = index+1
+	doneCells   map[int]bool  // cell indices already evented (dedup across re-dispatch)
+	completed   int
+	failed      int
+	progress    StreamEvent
+	progSeq     uint64
 	// lastProgressEmit throttles progress snapshots per cell key.
 	lastProgressEmit map[string]uint64
 	pulse            chan struct{} // closed and replaced on every publish

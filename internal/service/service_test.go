@@ -141,11 +141,12 @@ func TestHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Start()
 	defer s.Drain(context.Background())
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
+	// Submit before the workers start, so the initial status is read
+	// before any worker can claim the job.
 	cells := tinyCells(3)
 	st, created, err := s.Submit(request(cells))
 	if err != nil || !created {
@@ -154,6 +155,7 @@ func TestHappyPath(t *testing.T) {
 	if st.State != StateQueued || st.Cells != 3 {
 		t.Errorf("initial status = %+v", st)
 	}
+	s.Start()
 	waitStatus(t, s, st.ID, StateDone)
 
 	// Resubmitting the identical job dedupes onto the existing one.

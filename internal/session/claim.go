@@ -323,4 +323,3 @@ func (m *Manager) ExpireLeases() int {
 	}
 	return n
 }
-

@@ -1,13 +1,14 @@
 package tage
 
 // Fork returns an independent deep copy of the predictor: bimodal and
-// tagged tables (or the infinite associative maps), global/path/folded
-// histories, the allocator's tick and RNG state, and the
-// Predict/Update scratch. Training either copy never affects the other,
-// and — because the RNG state is carried — both copies replay the exact
-// allocation schedule an unforked predictor would. Telemetry instruments
-// are not carried across; attach a registry to the child explicitly.
-// Call at a branch boundary (after Update, before the next Predict).
+// tagged tables (or the infinite associative maps), the path register,
+// the history engine (when this predictor owns it), the allocator's tick
+// and RNG state, and the Predict/Update scratch. Training either copy
+// never affects the other, and — because the RNG state is carried —
+// both copies replay the exact allocation schedule an unforked predictor
+// would. Telemetry instruments are not carried across; attach a registry
+// to the child explicitly. Call at a branch boundary (after Update,
+// before the next Predict).
 func (p *Predictor) Fork() *Predictor {
 	out := *p
 	out.bim = p.bim.Fork()
@@ -28,8 +29,6 @@ func (p *Predictor) Fork() *Predictor {
 			out.tables[i] = append([]entry(nil), p.tables[i]...)
 		}
 	}
-	path := *p.path
-	out.path = &path
 	if p.engOwner {
 		out.eng = p.eng.Clone()
 	}

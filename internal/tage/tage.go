@@ -71,13 +71,16 @@ type Predictor struct {
 	// Infinite storage: one unbounded associative map per table.
 	inf []map[infKey]*entry
 
-	path *history.Path
+	// path is the path-history register: one low PC bit shifted in per
+	// branch, masked to PathBits (Config.Validate bounds it to [1,32]).
+	path uint64
 	// eng maintains the global history and every folded register,
 	// bit-packed so one push updates all of them (see history.Engine).
-	// The composite predictor shares this engine (§V-B: LLBP's fold
-	// mirrors are identical in content to the baseline's) and, when it
-	// does, takes over pushing: engOwner is false and TAGE's own update
-	// paths advance only the path history.
+	// The statistical corrector registers its folds here too, and the
+	// LLBP composite shares the engine (§V-B: LLBP's fold mirrors are
+	// identical in content to the baseline's) and, when it does, takes
+	// over pushing: engOwner is false and TAGE's own update paths
+	// advance only the path history.
 	eng      *history.Engine
 	engOwner bool
 	locs     []tableLocs
@@ -118,8 +121,8 @@ type scratch struct {
 	idx         [64]uint32
 	tag         [64]uint32
 	ent         [64]entry // per-table candidate entries (finite fast path)
-	provider    int // table index of longest match, -1 if none
-	alt         int // table index of next-longest match, -1 if bimodal
+	provider    int       // table index of longest match, -1 if none
+	alt         int       // table index of next-longest match, -1 if bimodal
 	providerKey infKey
 	altKey      infKey
 	providerCtr int8
@@ -142,7 +145,6 @@ func New(cfg Config) (*Predictor, error) {
 	p := &Predictor{
 		cfg:      cfg,
 		bim:      bimodal.New(cfg.BimodalLog),
-		path:     history.NewPath(cfg.PathBits),
 		eng:      history.NewEngine(),
 		engOwner: true,
 		rng:      cfg.Seed | 1,
@@ -203,8 +205,9 @@ func New(cfg Config) (*Predictor, error) {
 	return p, nil
 }
 
-// HistoryEngine exposes the shared folded-history engine so a composite
-// predictor can register its own folds on it (§V-B).
+// HistoryEngine exposes the shared folded-history engine so the
+// components around TAGE can register and read their own folds on it:
+// the statistical corrector's and the LLBP composite's (§V-B).
 func (p *Predictor) HistoryEngine() *history.Engine { return p.eng }
 
 // AdoptHistoryEngine transfers push ownership of the history engine to
@@ -254,9 +257,9 @@ func (p *Predictor) index(pc uint64, i int) uint32 {
 	l := p.locs[i].idx
 	h := (pc >> 2) ^ (pc >> (logE - uint(i&3))) ^ ((p.eng.Word(l.Word) >> l.Shift) & l.Mask)
 	if p.cfg.HistLengths[i] >= 16 {
-		h ^= p.path.Value() >> uint(i&7)
+		h ^= p.path >> uint(i&7)
 	} else {
-		h ^= p.path.Value()
+		h ^= p.path
 	}
 	return uint32(h & (uint64(1)<<logE - 1))
 }
@@ -301,7 +304,7 @@ func (p *Predictor) Predict(pc uint64) bool {
 	// indexed loads plus shifts/xors per table, with no method calls.
 	// index()/tagHash() are the reference formulation of the same hashes.
 	words := p.eng.Words()
-	pv := p.path.Value()
+	pv := p.path
 	base := pc >> 2
 	if !p.cfg.Infinite {
 		// Finite fast path: the candidate entry of every table is copied
@@ -402,8 +405,8 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 	if pc != s.pc {
 		assert.Failf("tage: Update(%#x) without matching Predict (last %#x)", pc, s.pc)
 	}
-	p.train(taken, s.finalTaken != taken)
-	p.pushHistory(pc, taken, true)
+	p.train(taken)
+	p.pushHistory(pc, taken)
 }
 
 // UpdateNoAlloc trains the provider (counters, useful bits, use-alt) but
@@ -419,11 +422,11 @@ func (p *Predictor) UpdateNoAlloc(pc uint64, taken bool) {
 		assert.Failf("tage: UpdateNoAlloc(%#x) without matching Predict (last %#x)", pc, s.pc)
 	}
 	p.trainProviderOnly(taken)
-	p.pushHistory(pc, taken, true)
+	p.pushHistory(pc, taken)
 }
 
 // train performs the full TAGE update given the resolved direction.
-func (p *Predictor) train(taken bool, _ bool) {
+func (p *Predictor) train(taken bool) {
 	s := &p.scratch
 	p.trainProviderOnly(taken)
 	// Allocate a new pattern with a longer history when the TAGE
@@ -572,18 +575,16 @@ func weakCtr(taken bool) int8 {
 // TrackOther implements predictor.Predictor: unconditional transfers
 // contribute a taken bit (and their PC) to the histories, as in the CBP
 // harness.
-func (p *Predictor) TrackOther(pc, target uint64, t trace.BranchType) {
-	_ = target
-	_ = t
-	p.pushHistory(pc, true, false)
+func (p *Predictor) TrackOther(pc, _ uint64, _ trace.BranchType) {
+	p.pushHistory(pc, true)
 }
 
 // pushHistory advances the path history and — when this predictor still
 // owns its history engine — the global and folded histories. A composite
 // that adopted the engine pushes it once itself, after its whole update
 // (its allocation path must see pre-push folds, §V-D).
-func (p *Predictor) pushHistory(pc uint64, taken bool, _ bool) {
-	p.path.Push(pc >> 2)
+func (p *Predictor) pushHistory(pc uint64, taken bool) {
+	p.path = (p.path<<1 | (pc>>2)&1) & (uint64(1)<<uint(p.cfg.PathBits) - 1)
 	if p.engOwner {
 		p.eng.Push(taken)
 	}
@@ -611,7 +612,7 @@ func (p *Predictor) UpdateHistoryOnly(pc uint64, taken bool) {
 	if pc != s.pc {
 		assert.Failf("tage: UpdateHistoryOnly(%#x) without matching Predict (last %#x)", pc, s.pc)
 	}
-	p.pushHistory(pc, taken, true)
+	p.pushHistory(pc, taken)
 }
 
 // ProviderLen returns the history length of the last prediction's provider
@@ -668,36 +669,4 @@ func (p *Predictor) PatternCount() int {
 		n += len(t)
 	}
 	return n
-}
-
-// HistoryCheckpoint captures TAGE's speculative state: the global, path
-// and folded history registers. Prediction tables are not included —
-// they train at commit and are never speculatively modified, so a
-// checkpoint is a few hundred bits of registers, exactly the §V-E2
-// recovery scheme (snapshotting folded histories in each branch's
-// checkpoint).
-type HistoryCheckpoint struct {
-	path uint64
-	// eng is captured only while this predictor owns the engine; a
-	// composite that adopted it checkpoints the engine itself, once.
-	eng *history.EngineCheckpoint
-}
-
-// CheckpointHistory snapshots the speculative history state.
-func (p *Predictor) CheckpointHistory() *HistoryCheckpoint {
-	cp := &HistoryCheckpoint{path: p.path.Snapshot()}
-	if p.engOwner {
-		e := p.eng.Checkpoint()
-		cp.eng = &e
-	}
-	return cp
-}
-
-// RestoreHistory rewinds the speculative history state to a checkpoint
-// (the misprediction-recovery path of §V-E2).
-func (p *Predictor) RestoreHistory(cp *HistoryCheckpoint) {
-	p.path.Restore(cp.path)
-	if cp.eng != nil {
-		p.eng.Restore(*cp.eng)
-	}
 }

@@ -144,7 +144,10 @@ func New(cfg Config) (*Predictor, error) {
 	}
 	p := &Predictor{cfg: cfg, tage: t}
 	if !cfg.DisableSC {
-		c, err := sc.New(cfg.SC)
+		// The corrector's folds join TAGE's in one history engine, which
+		// TAGE (or an LLBP composite that adopts it) pushes once per
+		// branch — the same bit the corrector needs.
+		c, err := sc.New(cfg.SC, t.HistoryEngine())
 		if err != nil {
 			return nil, fmt.Errorf("tsl: %w", err)
 		}
@@ -241,7 +244,7 @@ func (p *Predictor) Predict(pc uint64) bool {
 	}
 	final := base
 	if p.sc != nil {
-		final = p.sc.Correct(pc, base, p.tage.LastConfident() || provider == predictor.ProviderLoop)
+		final = p.sc.Correct(p.tage.HistoryEngine(), pc, base, p.tage.LastConfident() || provider == predictor.ProviderLoop)
 		if p.sc.Flipped() {
 			provider = predictor.ProviderSC
 			p.scFlips++
@@ -292,7 +295,6 @@ func (p *Predictor) updateAux(pc, target uint64, taken bool) {
 	}
 	if p.sc != nil {
 		p.sc.UpdateWithTarget(pc, target, taken)
-		p.sc.Push(taken)
 	}
 	if p.loop != nil {
 		// Train the chooser whenever a confident loop prediction
@@ -313,9 +315,6 @@ func (p *Predictor) updateAux(pc, target uint64, taken bool) {
 // TrackOther implements predictor.Predictor.
 func (p *Predictor) TrackOther(pc, target uint64, t trace.BranchType) {
 	p.tage.TrackOther(pc, target, t)
-	if p.sc != nil {
-		p.sc.Push(true)
-	}
 }
 
 // LastDetail implements predictor.Detailer.
@@ -338,29 +337,4 @@ func (p *Predictor) StorageBits() int {
 		t += p.loop.StorageBits()
 	}
 	return t
-}
-
-// HistoryCheckpoint captures the composed predictor's speculative state
-// (TAGE and statistical-corrector histories; the loop predictor holds no
-// speculative history).
-type HistoryCheckpoint struct {
-	tage *tage.HistoryCheckpoint
-	sc   *sc.HistoryCheckpoint
-}
-
-// CheckpointHistory snapshots the speculative history state (§V-E2).
-func (p *Predictor) CheckpointHistory() *HistoryCheckpoint {
-	cp := &HistoryCheckpoint{tage: p.tage.CheckpointHistory()}
-	if p.sc != nil {
-		cp.sc = p.sc.CheckpointHistory()
-	}
-	return cp
-}
-
-// RestoreHistory rewinds the speculative history state to a checkpoint.
-func (p *Predictor) RestoreHistory(cp *HistoryCheckpoint) {
-	p.tage.RestoreHistory(cp.tage)
-	if p.sc != nil && cp.sc != nil {
-		p.sc.RestoreHistory(cp.sc)
-	}
 }

@@ -213,23 +213,17 @@ func benchStream() []trace.Branch {
 	return stream
 }
 
-// benchPredictor measures raw predict+update throughput.
+// benchPredictor measures raw per-branch throughput: the replay step
+// (clock, predict/update, penalties and resets) without stream dispatch
+// or measurement bookkeeping.
 func benchPredictor(b *testing.B, build func(*predictor.Clock) predictor.Predictor) {
 	s := benchStream()
 	clock := &predictor.Clock{}
-	p := build(clock)
+	st := sim.NewStepper(build(clock), clock)
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		br := &s[n]
-		if br.Type.IsConditional() {
-			pred := p.Predict(br.PC)
-			p.Update(br.PC, br.Taken)
-			_ = pred
-		} else {
-			p.TrackOther(br.PC, br.Target, br.Type)
-		}
-		clock.Advance(float64(br.Instructions) * 0.5)
+		st.Step(&s[n])
 		n++
 		if n == len(s) {
 			n = 0

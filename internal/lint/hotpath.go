@@ -12,8 +12,10 @@ import (
 
 // Hotpath walks the static call graph from the per-branch entry points —
 // the Predict and UpdateWithTarget methods of a type named Predictor in
-// a package whose import path ends in "core" — and reports every
-// allocation and every map operation reachable from them:
+// a package whose import path ends in "core", and the Step method of a
+// type named Stepper in a package ending in "sim" (the replay step every
+// driver shares) — and reports every allocation and every map operation
+// reachable from them:
 //
 //   - make / new / append builtins, &T{...} literals, slice and map
 //     composite literals, closures, string concatenation, and
@@ -34,12 +36,18 @@ import (
 // Findings carry the root→site call chain in Diagnostic.Path.
 var Hotpath = &analysis.Analyzer{
 	Name:       "hotpath",
-	Doc:        "no allocation or map access reachable from core.Predictor.Predict/UpdateWithTarget (call-graph depth)",
+	Doc:        "no allocation or map access reachable from core.Predictor.Predict/UpdateWithTarget or sim.Stepper.Step (call-graph depth)",
 	RunProgram: runHotpath,
 }
 
-// hotpathRoots are the per-branch entry-point method names.
-var hotpathRoots = map[string]bool{"Predict": true, "UpdateWithTarget": true}
+// hotpathRoots are the per-branch entry points, keyed
+// "<package>.<type>.<method>" by the last segment of the package's
+// import path.
+var hotpathRoots = map[string]bool{
+	"core.Predictor.Predict":          true,
+	"core.Predictor.UpdateWithTarget": true,
+	"sim.Stepper.Step":                true,
+}
 
 func runHotpath(pass *analysis.ProgramPass) error {
 	prog := dataflow.Build(pass.Fset, pass.Packages)
@@ -79,10 +87,9 @@ func runHotpath(pass *analysis.ProgramPass) error {
 	return nil
 }
 
-// isHotpathRoot reports whether fn is core.Predictor.Predict or
-// core.Predictor.UpdateWithTarget.
+// isHotpathRoot reports whether fn is one of hotpathRoots.
 func isHotpathRoot(fn *types.Func) bool {
-	if !hotpathRoots[fn.Name()] || fn.Pkg() == nil || lastSegment(fn.Pkg().Path()) != "core" {
+	if fn.Pkg() == nil {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -94,7 +101,7 @@ func isHotpathRoot(fn *types.Func) bool {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Predictor"
+	return ok && hotpathRoots[lastSegment(fn.Pkg().Path())+"."+named.Obj().Name()+"."+fn.Name()]
 }
 
 // hotpathExempt cuts traversal at packages whose bodies are off the

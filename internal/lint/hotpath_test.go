@@ -9,12 +9,14 @@ import (
 )
 
 // TestHotpath runs the reachability analyzer over the core+predlib
-// fixture pair: findings at the roots, one hop down, and across the
-// package boundary; unreachable allocators stay silent; a justified
-// allow suppresses the cold layer. Every finding must carry the
-// root→site evidence chain starting at a hot-path root.
+// fixture pair and the sim fixture: findings at the roots (including
+// the shared replay step, sim.Stepper.Step), one hop down, and across
+// the package boundary; unreachable allocators and same-named methods on
+// other types stay silent; a justified allow suppresses the cold layer.
+// Every finding must carry the root→site evidence chain starting at a
+// hot-path root.
 func TestHotpath(t *testing.T) {
-	diags := analysistest.RunProgram(t, "testdata", lint.Hotpath, "core", "predlib")
+	diags := analysistest.RunProgram(t, "testdata", lint.Hotpath, "core", "predlib", "sim")
 	sawCrossPackage := false
 	for _, d := range diags {
 		if d.Category != "hotpath" {

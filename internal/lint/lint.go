@@ -36,9 +36,10 @@
 //     telemetry-updates-under-held-locks at call-graph depth in
 //     service + telemetry.
 //   - hotpath: no allocation and no map access reachable from the
-//     per-branch entry points core.Predictor.Predict/UpdateWithTarget —
-//     the packed hot-path layouts stay flat array arithmetic; cold
-//     miss-driven layers carry //llbplint:allow hotpath justifications.
+//     per-branch entry points core.Predictor.Predict/UpdateWithTarget
+//     and sim.Stepper.Step — the packed hot-path layouts and the shared
+//     replay step stay flat array arithmetic; cold miss-driven layers
+//     carry //llbplint:allow hotpath justifications.
 //
 // Scope is decided by import-path segments so that both the real module
 // ("llbp/internal/harness") and the analysistest fixtures ("harness")

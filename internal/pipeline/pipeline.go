@@ -81,6 +81,10 @@ func NewAccounting(cfg Config) (*Accounting, error) {
 	return &Accounting{cfg: cfg}, nil
 }
 
+// DefaultAccounting returns an empty ledger for the Table II
+// configuration, which is valid by construction.
+func DefaultAccounting() Accounting { return Accounting{cfg: Default()} }
+
 // Config returns the ledger's core configuration.
 func (a *Accounting) Config() Config { return a.cfg }
 

@@ -307,7 +307,8 @@ func (m *Manager) ExpireLeases() int {
 	n := 0
 	for _, s := range sessions {
 		s.mu.Lock()
-		if s.lease.revoke != nil && s.state != StateDraining && now.After(s.lease.expires) {
+		// A lease is expired from its deadline on, as Claim judges it.
+		if s.lease.revoke != nil && s.state != StateDraining && !now.Before(s.lease.expires) {
 			close(s.lease.revoke)
 			owner, epoch := s.lease.owner, s.epoch
 			s.lease = sessLease{}

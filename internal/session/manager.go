@@ -13,8 +13,8 @@ import (
 
 	"llbp/internal/chaos"
 	"llbp/internal/harness"
-	"llbp/internal/pipeline"
 	"llbp/internal/predictor"
+	"llbp/internal/sim"
 	"llbp/internal/telemetry"
 )
 
@@ -42,9 +42,6 @@ type Options struct {
 	CheckpointBranches uint64
 	// MaxSessions bounds concurrently open sessions (default 64).
 	MaxSessions int
-	// Pipeline configures the session cycle model; zero uses
-	// pipeline.Default().
-	Pipeline pipeline.Config
 	// Now is the clock (default time.Now); tests inject a fake.
 	Now func() time.Time
 	// Chaos, when non-nil, arms the session failure-injection sites
@@ -122,9 +119,6 @@ func New(opt Options) (*Manager, error) {
 	}
 	if opt.MaxSessions <= 0 {
 		opt.MaxSessions = 64
-	}
-	if opt.Pipeline.BaseCPI == 0 {
-		opt.Pipeline = pipeline.Default()
 	}
 	if opt.Now == nil {
 		opt.Now = time.Now
@@ -239,7 +233,6 @@ func (m *Manager) newSession(id string, req Request, tid int) *Session {
 		id:        id,
 		req:       req,
 		state:     StateOpen,
-		pipe:      m.opt.Pipeline,
 		ckptEvery: req.CheckpointBranches,
 		nextCkpt:  req.CheckpointBranches,
 		pulse:     make(chan struct{}),
@@ -333,7 +326,7 @@ func (m *Manager) build(ctx context.Context, s *Session) error {
 	if s.built {
 		return nil // lost the build race; the winner's state stands
 	}
-	s.pred, s.clock = pred, clock
+	s.pred, s.step = pred, sim.NewStepper(pred, clock)
 	for _, raw := range replay {
 		var e journalEntry
 		if err := json.Unmarshal(raw, &e); err != nil {

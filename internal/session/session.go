@@ -6,9 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"llbp/internal/pipeline"
 	"llbp/internal/predictor"
-	"llbp/internal/trace"
+	"llbp/internal/sim"
 )
 
 // Session states.
@@ -120,9 +119,10 @@ type Session struct {
 	built  bool
 	replay []json.RawMessage
 
-	pred  predictor.Predictor
-	clock *predictor.Clock
-	pipe  pipeline.Config
+	// pred is the live predictor; step applies branches to it on the
+	// clock it was forked onto.
+	pred predictor.Predictor
+	step *sim.Stepper
 
 	// Stream cursors.
 	lastSeq     uint64 // highest applied batch seq
@@ -159,59 +159,31 @@ type Session struct {
 	tid int
 }
 
-// outcome applies one branch to the session predictor and returns its
-// verdict byte (cond=false for non-conditional records, which produce no
-// byte). The clock advances exactly as sim.Run's warmup phase does —
-// base CPI per straight-line instruction, full penalty on mispredicts
-// and target misses — so latency-aware predictors (LLBP's prefetch
-// pipeline) see the same time base streamed as replayed.
-func (s *Session) outcome(b *trace.Branch) (o byte, cond bool) {
-	s.clock.Advance(float64(b.Instructions) * s.pipe.BaseCPI)
-	if b.Type.IsConditional() {
-		predicted := s.pred.Predict(b.PC)
-		if tu, ok := s.pred.(predictor.TargetUpdater); ok {
-			tu.UpdateWithTarget(b.PC, b.Target, b.Taken)
-		} else {
-			s.pred.Update(b.PC, b.Taken)
-		}
-		if predicted {
-			o |= OutcomeTaken
-		}
-		if predicted != b.Taken {
-			o |= OutcomeMispredict
-			s.clock.Advance(s.pipe.MispredictPenalty)
-			if r, ok := s.pred.(predictor.Resettable); ok {
-				r.OnPipelineReset()
-			}
-		}
-		return o, true
-	}
-	s.pred.TrackOther(b.PC, b.Target, b.Type)
-	if b.MispredictedTarget {
-		s.clock.Advance(s.pipe.TargetMissPenalty)
-		if r, ok := s.pred.(predictor.Resettable); ok {
-			r.OnPipelineReset()
-		}
-	}
-	return 0, false
-}
-
 // applyLocked runs one validated branch-batch through the predictor and
 // returns the predictions frame (unsequenced; the caller appends it).
-// Callers hold mu and have already checked sequence continuity.
+// Each branch takes sim.Stepper's step, the one batch replay takes, so
+// latency-aware predictors (LLBP's prefetch pipeline) see the same time
+// base streamed as replayed. Each conditional branch yields one verdict
+// byte. Callers hold mu and have already checked sequence continuity.
 func (s *Session) applyLocked(f Frame) OutFrame {
 	raw := make([]byte, 0, len(f.Branches))
 	var misp uint64
 	for i := range f.Branches {
 		b := f.Branches[i].Branch()
-		o, cond := s.outcome(&b)
-		if cond {
-			raw = append(raw, o)
-			s.cond++
-			if o&OutcomeMispredict != 0 {
-				misp++
-			}
+		predicted := s.step.Step(&b)
+		if !b.Type.IsConditional() {
+			continue
 		}
+		var o byte
+		if predicted {
+			o |= OutcomeTaken
+		}
+		if predicted != b.Taken {
+			o |= OutcomeMispredict
+			misp++
+		}
+		raw = append(raw, o)
+		s.cond++
 	}
 	s.lastSeq = f.Seq
 	s.branches += uint64(len(f.Branches))
@@ -275,7 +247,7 @@ func (s *Session) migrateLocked() {
 		return
 	}
 	tail := s.tail
-	s.pred, s.clock = ck.pred, ck.clock
+	s.pred, s.step = ck.pred, sim.NewStepper(ck.pred, ck.clock)
 	s.lastSeq, s.branches = ck.lastSeq, ck.branches
 	s.cond, s.mispredicts = ck.cond, ck.misp
 	s.tail = nil

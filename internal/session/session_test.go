@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"llbp/internal/experiments"
+	"llbp/internal/predictor"
+	"llbp/internal/sim"
 	"llbp/internal/trace"
 	"llbp/internal/workload"
 )
@@ -364,7 +366,8 @@ func TestDrainMigration(t *testing.T) {
 }
 
 // TestLeaseExpiry: a wedged claim's lease ages out, the supervisor sweep
-// revokes it, and a successor claims; the zombie is fenced everywhere.
+// revokes it at exactly its deadline, and a successor claims; the zombie
+// is fenced everywhere.
 func TestLeaseExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	wl, err := workload.ByName("Tomcat")
@@ -400,10 +403,15 @@ func TestLeaseExpiry(t *testing.T) {
 	if _, err := m.Claim(context.Background(), st.ID, "w2"); err == nil {
 		t.Fatal("live lease stolen")
 	}
-	// Lease ages out; the sweep revokes it.
-	now = now.Add(11 * time.Second)
+	// One tick before the deadline the lease is live; at exactly the
+	// deadline it has expired for the sweep as it has for Claim.
+	now = now.Add(10*time.Second - time.Nanosecond)
+	if n := m.ExpireLeases(); n != 0 {
+		t.Fatalf("sweep revoked %d leases before the deadline, want 0", n)
+	}
+	now = now.Add(time.Nanosecond)
 	if n := m.ExpireLeases(); n != 1 {
-		t.Fatalf("sweep revoked %d leases, want 1", n)
+		t.Fatalf("sweep revoked %d leases at the deadline, want 1", n)
 	}
 	select {
 	case <-c1.Revoke:
@@ -453,6 +461,80 @@ func TestForkWarmSharing(t *testing.T) {
 		}
 		if a.Outcomes != b.Outcomes {
 			t.Fatalf("batch %d: twin sessions diverged", f.Seq)
+		}
+	}
+}
+
+// TestSessionMatchesReplay: an LLBP session and a batch replay of the
+// same branches, each on a fork of one warm snapshot, emit the same
+// verdict bytes batch for batch. LLBP times its prefetches on the
+// simulated clock and squashes them on pipeline resets, so any drift
+// between the session's step and sim.Run's shows up here.
+func TestSessionMatchesReplay(t *testing.T) {
+	const warmup, nBatches, batchLen = 2_000, 20, 500
+	m := testManager(t, "")
+	ctx := context.Background()
+	st, err := m.Open(ctx, Request{Schema: Schema, Predictor: "llbp", Workload: "Tomcat", Warmup: warmup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.Claim(ctx, st.ID, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := testStream(t, warmup, nBatches, batchLen)
+
+	// The replay twin: a fork of the same warm snapshot, driven by
+	// sim.Run over the same branches; an observer collects each batch's
+	// verdict bytes.
+	p, clock, err := m.opt.Forker.ForkWarm(ctx, "Tomcat", "llbp", warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var branches []trace.Branch
+	for _, f := range batches {
+		for _, r := range f.Branches {
+			branches = append(branches, r.Branch())
+		}
+	}
+	var want []string
+	var raw []byte
+	seen := 0
+	next := func() {
+		if seen++; seen == batchLen {
+			want = append(want, EncodeOutcomes(raw))
+			raw, seen = raw[:0], 0
+		}
+	}
+	_, err = sim.Run(&trace.SliceSource{SourceName: "Tomcat", Branches: branches}, p, sim.Options{
+		MeasureBranches: uint64(len(branches)),
+		Clock:           clock,
+		Observer: func(b *trace.Branch, predicted bool, _ predictor.Detail) {
+			var o byte
+			if predicted {
+				o |= OutcomeTaken
+			}
+			if predicted != b.Taken {
+				o |= OutcomeMispredict
+			}
+			raw = append(raw, o)
+			next()
+		},
+		UncondObserver: func(*trace.Branch) { next() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != nBatches {
+		t.Fatalf("replay produced %d batches, want %d", len(want), nBatches)
+	}
+	for i, f := range batches {
+		of, err := c.Apply(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if of.Outcomes != want[i] {
+			t.Fatalf("batch %d: session verdicts differ from the replay of the same branches", f.Seq)
 		}
 	}
 }

@@ -1,23 +1,24 @@
 // Package sim is the trace-driven simulation driver: it replays a
-// workload's branch stream through a predictor, advances the cycle model,
-// fires pipeline resets, and collects the headline metrics. Experiments
-// attach observers for per-branch or per-context accounting.
+// workload's branch stream through a predictor one Stepper step per
+// branch (clock advance, predict/update, pipeline resets) and collects
+// the headline metrics. Experiments attach observers for per-branch or
+// per-context accounting.
 package sim
 
 import (
 	"context"
 	"fmt"
 
-	"llbp/internal/btb"
 	"llbp/internal/pipeline"
 	"llbp/internal/predictor"
 	"llbp/internal/telemetry"
 	"llbp/internal/trace"
 )
 
-// Observer is invoked for every measured conditional branch, after the
-// predictor has been updated. det is the predictor's provenance when it
-// implements predictor.Detailer (zero otherwise).
+// Observer is invoked for every measured conditional branch, after its
+// step: the predictor has been updated and, on a misprediction, reset.
+// det is the predictor's provenance when it implements
+// predictor.Detailer (zero otherwise).
 type Observer func(b *trace.Branch, predicted bool, det predictor.Detail)
 
 // UncondObserver is invoked for every measured non-conditional transfer.
@@ -31,9 +32,6 @@ type Options struct {
 	// MeasureBranches are processed with statistics collection. The
 	// run errors if the stream ends before warmup+measure branches.
 	MeasureBranches uint64
-	// Pipeline configures the cycle model; zero value uses
-	// pipeline.Default().
-	Pipeline pipeline.Config
 	// Observer and UncondObserver receive measured records (optional).
 	Observer       Observer
 	UncondObserver UncondObserver
@@ -41,10 +39,6 @@ type Options struct {
 	// against; the driver advances it. When nil a private clock is
 	// used.
 	Clock *predictor.Clock
-	// BTB, when non-nil, derives target mispredictions (pipeline
-	// resets) from the Table II front-end model instead of replaying
-	// the trace's MispredictedTarget flags.
-	BTB *btb.Model
 	// Context, when non-nil, cancels the run: Run returns an error
 	// wrapping ctx.Err() shortly after cancellation (checked every few
 	// thousand branches). This is how the harness enforces deadlines
@@ -113,8 +107,8 @@ type Result struct {
 }
 
 // Warm replays opt.WarmupBranches branches of src through p exactly as
-// Run's warmup phase would — clock advance at base CPI, mispredict and
-// target-miss penalties, pipeline resets — and collects no measurements.
+// Run's warmup phase would — one Stepper step per branch — and collects
+// no measurements.
 // It is the warm-snapshot path: the harness warms one predictor per
 // shared prefix, forks it per cell (predictor.Forkable), and each fork
 // resumes with a measure-only Run over the stream's tail, producing
@@ -131,20 +125,13 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 	if opt.MeasureBranches == 0 && !opt.warmupOnly {
 		return nil, fmt.Errorf("sim: MeasureBranches must be positive")
 	}
-	if opt.Pipeline.BaseCPI == 0 {
-		opt.Pipeline = pipeline.Default()
-	}
 	clock := opt.Clock
 	if clock == nil {
 		clock = &predictor.Clock{}
 	}
-	acct, err := pipeline.NewAccounting(opt.Pipeline)
-	if err != nil {
-		return nil, err
-	}
+	st := NewStepper(p, clock)
+	ledger := &st.ledger
 	detailer, _ := p.(predictor.Detailer)
-	resettable, _ := p.(predictor.Resettable)
-	targetUpdater, _ := p.(predictor.TargetUpdater)
 
 	var done <-chan struct{}
 	if opt.Context != nil {
@@ -183,8 +170,6 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 	}
 	var lastInstr, lastMisp uint64
 	var lastCycles float64
-	var resets uint64
-	warmupDone := false
 	clockStart := clock.NowF()
 	warmupEnd := clockStart
 
@@ -202,9 +187,9 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 		counterTrack = "sim:" + srcName
 	}
 	sample := func() {
-		di := acct.Instructions - lastInstr
-		dm := res.Mispredicts - lastMisp
-		dc := acct.Cycles() - lastCycles
+		di := ledger.Instructions - lastInstr
+		dm := ledger.Mispredictions - lastMisp
+		dc := ledger.Cycles() - lastCycles
 		mpki := float64(dm) * 1000 / float64(max64(di, 1))
 		ipc := 0.0
 		if dc > 0 {
@@ -217,7 +202,7 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 			scratchArgs["ipc_proxy"] = ipc
 			opt.Tracer.Counter(tracePID, counterTrack, clock.NowF(), scratchArgs)
 		}
-		lastInstr, lastMisp, lastCycles = acct.Instructions, res.Mispredicts, acct.Cycles()
+		lastInstr, lastMisp, lastCycles = ledger.Instructions, ledger.Mispredictions, ledger.Cycles()
 	}
 
 	total := opt.WarmupBranches + opt.MeasureBranches
@@ -240,36 +225,12 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 		n, rerr := br.ReadBatch(want)
 		for i := 0; i < n; i++ {
 			b := &want[i]
-			measuring := processed >= opt.WarmupBranches
+			predicted := st.Step(b)
 			processed++
-			if measuring && !warmupDone {
-				warmupDone = true
-				warmupEnd = clock.NowF()
-			}
-
-			// Straight-line instructions preceding this branch retire at
-			// base CPI; advance the clock so prefetch timestamps see
-			// realistic gaps during warmup too.
-			if measuring {
-				clock.Advance(acct.Retire(uint64(b.Instructions)))
-			} else {
-				clock.Advance(float64(b.Instructions) * opt.Pipeline.BaseCPI)
-			}
-
-			if b.Type.IsConditional() {
-				predicted := p.Predict(b.PC)
-				if targetUpdater != nil {
-					targetUpdater.UpdateWithTarget(b.PC, b.Target, b.Taken)
-				} else {
-					p.Update(b.PC, b.Taken)
-				}
-				misp := predicted != b.Taken
-				if measuring {
+			if processed > opt.WarmupBranches {
+				res.Branches++
+				if b.Type.IsConditional() {
 					res.CondBranches++
-					if misp {
-						res.Mispredicts++
-						clock.Advance(acct.Mispredict())
-					}
 					if opt.Observer != nil {
 						var det predictor.Detail
 						if detailer != nil {
@@ -277,42 +238,9 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 						}
 						opt.Observer(b, predicted, det)
 					}
-				} else if misp {
-					clock.Advance(opt.Pipeline.MispredictPenalty)
+				} else if opt.UncondObserver != nil {
+					opt.UncondObserver(b)
 				}
-				if misp && resettable != nil {
-					resettable.OnPipelineReset()
-					if measuring {
-						resets++
-					}
-				}
-			} else {
-				p.TrackOther(b.PC, b.Target, b.Type)
-				targetMiss := b.MispredictedTarget
-				if opt.BTB != nil {
-					targetMiss = opt.BTB.Process(b).TargetMiss
-				}
-				if targetMiss {
-					if measuring {
-						clock.Advance(acct.TargetMiss())
-					} else {
-						clock.Advance(opt.Pipeline.TargetMissPenalty)
-					}
-					if resettable != nil {
-						resettable.OnPipelineReset()
-						if measuring {
-							resets++
-						}
-					}
-				}
-				if measuring {
-					if opt.UncondObserver != nil {
-						opt.UncondObserver(b)
-					}
-				}
-			}
-			if measuring {
-				res.Branches++
 				if res.Branches >= nextSample {
 					sample()
 					nextSample += interval
@@ -321,6 +249,13 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 			if opt.Hook != nil && processed >= nextHook {
 				opt.Hook(processed)
 				nextHook += hookEvery
+			}
+			if processed == opt.WarmupBranches {
+				// Warmup ends here. The measured phase charges a fresh
+				// ledger, so warmup costs stay out of the result, and a
+				// Warm run, which stops here, returns an empty one.
+				*ledger = pipeline.DefaultAccounting()
+				warmupEnd = clock.NowF()
 			}
 		}
 		if rerr != nil && processed < total {
@@ -332,15 +267,21 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 		}
 	}
 
-	res.Instructions = acct.Instructions
-	res.TargetMisses = acct.TargetMisses
+	res.Instructions = ledger.Instructions
+	res.Mispredicts = ledger.Mispredictions
+	res.TargetMisses = ledger.TargetMisses
 	res.MPKI = float64(res.Mispredicts) * 1000 / float64(max64(res.Instructions, 1))
-	res.Cycles = acct.Cycles()
-	res.BranchPenalty = acct.BranchPenalty
-	res.WastedFraction = acct.WastedFraction()
-	res.IPC = acct.IPC()
+	res.Cycles = ledger.Cycles()
+	res.BranchPenalty = ledger.BranchPenalty
+	res.WastedFraction = ledger.WastedFraction()
+	res.IPC = ledger.IPC()
+	// Every misprediction and target miss resets a Resettable predictor.
+	var resets uint64
+	if _, ok := p.(predictor.Resettable); ok {
+		resets = res.Mispredicts + res.TargetMisses
+	}
 
-	if sampling && acct.Instructions > lastInstr {
+	if sampling && ledger.Instructions > lastInstr {
 		sample() // flush the final partial interval
 	}
 	if opt.Telemetry != nil {

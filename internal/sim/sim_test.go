@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"llbp/internal/btb"
 	"llbp/internal/pipeline"
 	"llbp/internal/predictor"
 	"llbp/internal/trace"
@@ -206,41 +205,6 @@ func (p *phasePredictor) Predict(pc uint64) bool {
 }
 func (p *phasePredictor) Update(uint64, bool)                        {}
 func (p *phasePredictor) TrackOther(_, _ uint64, _ trace.BranchType) {}
-
-func TestRunWithBTBDerivesTargetMisses(t *testing.T) {
-	// With the front-end model attached, the trace's MispredictedTarget
-	// flags are ignored and resets come from the BTB/RAS/indirect model.
-	mdl, err := btb.New(btb.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &staticPredictor{taken: true}
-	res, err := Run(mkSource(2000), p, Options{
-		WarmupBranches:  200,
-		MeasureBranches: 1600,
-		BTB:             mdl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The mock source's jumps all share one PC/target: exactly one cold
-	// BTB miss in warmup, none measured — unlike the flag-driven run,
-	// which charges a miss every 32 records.
-	flagRes, err := Run(mkSource(2000), &staticPredictor{taken: true}, Options{
-		WarmupBranches:  200,
-		MeasureBranches: 1600,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TargetMisses >= flagRes.TargetMisses {
-		t.Errorf("BTB-derived misses (%d) should undercut the flag-driven count (%d) on a monomorphic jump",
-			res.TargetMisses, flagRes.TargetMisses)
-	}
-	if mdl.Stats().Lookups == 0 {
-		t.Error("BTB never consulted")
-	}
-}
 
 // TestRunCancellation: a cancelled context aborts the run promptly with
 // an error wrapping context.Canceled.

@@ -399,12 +399,17 @@ func measure(wlName string, branches, warmup uint64, cpuprofile string, progress
 }
 
 // measureSession appends the session_branches_per_sec family: the same
-// trace streamed through the session subsystem — frame validation,
+// trace applied through the session subsystem — frame validation,
 // epoch-fenced batch application, outcome-byte encoding, auto-checkpoint
 // forks on the default cadence — instead of batch sim.Run. Journaling is
-// off, matching the batch families (neither path fsyncs per branch), so
-// the delta is the serving layer itself. The predictor is the 64 KiB
-// TAGE-SC-L, making "tage-sc-l" the batch twin VsBatchPct compares to.
+// off, matching the batch families (neither path fsyncs per branch). The
+// frames reach Claim.Apply already decoded, so the family never parses
+// NDJSON: the delta is the serving layer without its wire decode, which
+// perfbench's session ledger put at ≈69% of a streamed branch's CPU
+// before FrameReader gained its reflection-free path. The streamed
+// figure, parse included, is perfbench's session-kafka-64k workload. The
+// predictor is the 64 KiB TAGE-SC-L, making "tage-sc-l" the batch twin
+// VsBatchPct compares to.
 func measureSession(doc *Doc, wl *workload.Source, branches uint64, progress io.Writer) error {
 	const batchLen = 1024
 	r := wl.Open()

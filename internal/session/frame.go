@@ -169,6 +169,9 @@ const (
 type FrameReader struct {
 	sc  *bufio.Scanner
 	err error
+	// recs is decodeFast's scratch for one frame's records; frames get
+	// their own copy.
+	recs []BranchRec
 }
 
 // NewFrameReader wraps r.
@@ -201,10 +204,16 @@ func (fr *FrameReader) Next() (Frame, error) {
 		if len(trimSpace(line)) == 0 {
 			continue // tolerate blank lines between frames
 		}
-		var f Frame
-		if err := json.Unmarshal(line, &f); err != nil {
-			fr.err = fmt.Errorf("session: malformed frame: %w", err)
-			return Frame{}, fr.err
+		f, ok := fr.decodeFast(line)
+		if !ok {
+			// A variable of its own: json.Unmarshal moves it to the
+			// heap, and only declined lines should pay for that.
+			var ref Frame
+			if err := json.Unmarshal(line, &ref); err != nil {
+				fr.err = fmt.Errorf("session: malformed frame: %w", err)
+				return Frame{}, fr.err
+			}
+			f = ref
 		}
 		if err := ValidateFrame(f); err != nil {
 			fr.err = err
@@ -246,8 +255,9 @@ func ValidateFrame(f Frame) error {
 	}
 }
 
-// trimSpace is bytes.TrimSpace for the blank-line check without
-// importing bytes for one call… except it is clearer to just use it.
+// trimSpace trims only the whitespace JSON allows within a line, unlike
+// bytes.TrimSpace, so a line holding only a form feed ('\f') is reported
+// as malformed rather than skipped as blank.
 func trimSpace(b []byte) []byte {
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {
 		b = b[1:]

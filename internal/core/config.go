@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"llbp/internal/history"
+)
 
 // Config parameterizes an LLBP instance. DefaultConfig returns the
 // evaluated design point of §VI; the Figure 13/14 studies vary CtxType,
@@ -141,6 +145,9 @@ func (c Config) Validate() error {
 		}
 		if h.Len == prev && !h.AltHash && i > 0 && !c.HistLengths[i-1].AltHash {
 			return fmt.Errorf("core: duplicate history length %d without AltHash", h.Len)
+		}
+		if h.Len >= history.MaxLength {
+			return fmt.Errorf("core: history length %d (index %d) out of range [0,%d)", h.Len, i, history.MaxLength)
 		}
 		prev = h.Len
 	}

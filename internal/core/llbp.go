@@ -426,24 +426,32 @@ func (p *Predictor) tickGate() {
 // the lanes store them), then each lane needs one mask, one table load
 // and one compare, with the matching slot carried in a conditional move.
 func (p *Predictor) matchPatterns(pc uint64) {
-	// Key fill: tagFor unrolled over the flattened plan with the packed
-	// word slice in a local, so each length costs two indexed loads plus
-	// shifts/xors (tagFor is the reference formulation of the same hash).
+	// Key fill: tagFor unrolled over the flattened plan with the plan, the
+	// packed word slice and the key array in locals, so each length costs
+	// two indexed loads plus shifts/xors (tagFor is the reference
+	// formulation of the same hash). The re-slice proves keys[li] in range
+	// (Validate caps the lengths at maxLengths). Every shift count is below
+	// 64 (a fold's field lies inside its 64-bit word, and the tag mask and
+	// rotate shift by TagBits and TagBits-3, with TagBits ≤ 31), so masking
+	// the counts with 63 changes no value and lets the compiler drop its
+	// shift guards.
+	plan := p.tagPlan
+	keys := p.wantKeys[:len(plan)]
 	words := p.eng.Words()
-	mask := uint64(1)<<uint(p.cfg.TagBits) - 1
-	rot := uint(p.cfg.TagBits - 3)
+	mask := uint64(1)<<(uint(p.cfg.TagBits)&63) - 1
+	rot := uint(p.cfg.TagBits-3) & 63
 	base := pc >> 2
-	for li := range p.tagPlan {
-		t := &p.tagPlan[li]
-		f1 := (words[t.w1] >> t.s1) & t.m1
-		f2 := (words[t.w2] >> t.s2) & t.m2
+	for li := range plan {
+		t := &plan[li]
+		f1 := (words[t.w1] >> (t.s1 & 63)) & t.m1
+		f2 := (words[t.w2] >> (t.s2 & 63)) & t.m2
 		var tag uint64
 		if t.alt {
 			tag = (base ^ ((f1 << 3) | (f1 >> rot)) ^ (f2 << 2)) & mask
 		} else {
 			tag = (base ^ f1 ^ (f2 << 1)) & mask
 		}
-		p.wantKeys[li] = laneValidBit | uint64(li)<<laneLenShift | tag
+		keys[li] = laneValidBit | uint64(li)<<laneLenShift | tag
 	}
 	lanes := p.pbe.Ent.Set.lanes()
 	slot := -1

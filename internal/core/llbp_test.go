@@ -4,6 +4,7 @@ import (
 	"llbp/internal/assert"
 	"testing"
 
+	"llbp/internal/history"
 	"llbp/internal/predictor"
 	"llbp/internal/trace"
 	"llbp/internal/tsl"
@@ -63,6 +64,9 @@ func TestConfigValidationTable(t *testing.T) {
 		{"dup with althash", func(c *Config) {
 			c.HistLengths = []HistLen{{12, false}, {12, true}}
 		}, true},
+		{"length at the history capacity", func(c *Config) {
+			c.HistLengths = []HistLen{{12, false}, {history.MaxLength, false}}
+		}, false},
 		{"bad tag", func(c *Config) { c.TagBits = 40 }, false},
 		{"bad ctr", func(c *Config) { c.CtrBits = 1 }, false},
 		{"indivisible buckets", func(c *Config) { c.PatternsPerSet = 10; c.Buckets = 4 }, false},

@@ -90,12 +90,13 @@ func NewEngine() *Engine {
 }
 
 // Register adds (or finds) the folded register compressing the most
-// recent length history bits to width bits and returns its id. Registers
+// recent length history bits to width bits and returns its id. Supported
+// shapes are length in [0, MaxLength) and width in [1, 63]. Registers
 // with identical (length, width) are shared. Registration is valid at any
 // point: a register added after pushes starts at the fold of the current
 // history, exactly as if it had been maintained from the start.
 func (e *Engine) Register(length, width int) FoldID {
-	if width <= 0 || width > 63 || length < 0 || length > MaxLength {
+	if width <= 0 || width > 63 || length < 0 || length >= MaxLength {
 		// Debug builds trap the bad shape; release builds degrade it to
 		// the constant-zero fold, like Global.Hash on an invalid width.
 		assert.Failf("history: invalid fold register (length %d, width %d)", length, width)
@@ -179,34 +180,42 @@ func (w *packedWord) addWrap(hiMask uint64, width uint8) {
 // the whole composite: the owner (the outermost predictor) calls it
 // exactly once per branch.
 func (e *Engine) Push(taken bool) {
+	// in is all ones for a taken branch, so in&inject selects the
+	// incoming-bit positions without a multiply.
 	in := uint64(0)
 	if taken {
-		in = 1
+		in = ^uint64(0)
 	}
 	e.ghr.Push(taken)
-	words := e.words
+	// Loop state lives in locals: the re-slice proves words[wi] in range
+	// (it panics if the one-word-per-plan-entry invariant ever breaks),
+	// and the outgoing-bit read below is Global.Bit on hoisted head and
+	// bits.
 	plan := e.plan
-	if len(words) < len(plan) {
-		return // impossible by construction; proves words[wi] in range
-	}
+	words := e.words[:len(plan)]
+	bits := &e.ghr.bits
+	head := e.ghr.head
 	for wi := range plan {
 		w := &plan[wi]
-		out := e.ghr.Bit(int(w.origLen))
+		pos := uint(head-int(w.origLen)) & (MaxLength - 1)
+		out := -((bits[pos/64] >> (pos % 64)) & 1) // all ones when the bit is set
 		// All fields advance together: shared shift-in of the new bit
 		// and shared XOR of the outgoing bit; each field's overflow
 		// lands in its spare bit, which the per-width wrap folds back
 		// into the LSB before keep clears the spares. The wrap ops are
 		// unrolled: unused slots have a zero mask and degenerate to
 		// XOR-with-zero, so the sweep is branch-free.
-		t := (words[wi] << 1) | (in * w.inject)
-		t ^= out * w.outPts
+		t := (words[wi] << 1) | (in & w.inject)
+		t ^= out & w.outPts
 		// The wraps are data-parallel: each reads only its fields' spare
 		// slots of t and writes only their LSBs, positions no other wrap
-		// touches, so all four fold from the same t.
-		t ^= ((t & w.wrapMask[0]) >> w.wrapWidth[0]) |
-			((t & w.wrapMask[1]) >> w.wrapWidth[1]) |
-			((t & w.wrapMask[2]) >> w.wrapWidth[2]) |
-			((t & w.wrapMask[3]) >> w.wrapWidth[3])
+		// touches, so all four fold from the same t. Every width is below
+		// 64 (Register rejects wider folds), so masking the counts with 63
+		// changes no value and lets the compiler drop its shift guards.
+		t ^= ((t & w.wrapMask[0]) >> (w.wrapWidth[0] & 63)) |
+			((t & w.wrapMask[1]) >> (w.wrapWidth[1] & 63)) |
+			((t & w.wrapMask[2]) >> (w.wrapWidth[2] & 63)) |
+			((t & w.wrapMask[3]) >> (w.wrapWidth[3] & 63))
 		words[wi] = t & w.keep
 	}
 }

@@ -188,8 +188,10 @@ func TestEnginePropertyRandomConfigs(t *testing.T) {
 
 // TestEngineRegisterBadShape: an out-of-range (length, width) traps in
 // debug builds and degrades to the constant-zero fold in release builds.
+// Length MaxLength is out of range: its outgoing bit would alias the
+// newest slot of the history ring.
 func TestEngineRegisterBadShape(t *testing.T) {
-	for _, r := range []shape{{10, 0}, {10, 64}, {-1, 10}, {MaxLength + 1, 10}} {
+	for _, r := range []shape{{10, 0}, {10, 64}, {-1, 10}, {MaxLength, 10}, {MaxLength + 1, 10}} {
 		e := NewEngine()
 		if assert.Enabled {
 			mustPanic(t, func() { e.Register(r.length, r.width) })

@@ -11,8 +11,10 @@ package history
 
 import "llbp/internal/assert"
 
-// MaxLength is the maximum supported global history length in bits. The
-// paper's longest table uses 3000 bits; 4096 leaves headroom.
+// MaxLength is the capacity of the global history register in bits.
+// Supported fold lengths are [0, MaxLength): a fold of length L retires
+// Bit(L) on every push, and Bit(MaxLength) would alias the newest bit.
+// The paper's longest table uses 3000 bits; 4096 leaves headroom.
 const MaxLength = 4096
 
 // Global is a global branch-history register of up to MaxLength bits,

@@ -116,8 +116,8 @@ func New(cfg Config, eng *history.Engine) (*Corrector, error) {
 	c.tables = make([][]int8, len(cfg.HistLengths))
 	c.folds = make([]history.Loc, len(cfg.HistLengths))
 	for i, h := range cfg.HistLengths {
-		if h < 0 || h > history.MaxLength {
-			return nil, fmt.Errorf("sc: history length %d out of range [0,%d]", h, history.MaxLength)
+		if h < 0 || h >= history.MaxLength {
+			return nil, fmt.Errorf("sc: history length %d out of range [0,%d)", h, history.MaxLength)
 		}
 		c.tables[i] = make([]int8, 1<<uint(cfg.LogEntries))
 		c.folds[i] = eng.Loc(eng.Register(h, cfg.LogEntries))
@@ -142,22 +142,34 @@ func (c *Corrector) ctrMin() int8 { return -int8(1) << (c.cfg.CounterBits - 1) }
 // them on, or a clone of it — before this branch's push. It must be
 // followed by exactly one Update for the same branch.
 func (c *Corrector) Correct(eng *history.Engine, pc uint64, tageTaken bool, tageConfident bool) bool {
+	// The loop state lives in locals; the re-slices prove the per-component
+	// indexes in range (New sizes all three per component). A fold's field
+	// mask equals the index mask (each fold is registered at LogEntries
+	// bits), so the final mask clears the neighbouring fields' bits (AND
+	// distributes over XOR). Fold shifts are below 64 (a fold's field lies
+	// inside its 64-bit word), so masking the count with 63 changes no
+	// value and lets the compiler drop its shift guard.
+	tables := c.tables
+	folds := c.folds[:len(tables)]
+	lastIdx := c.lastIdx[:len(tables)]
 	words := eng.Words()
+	mask := c.mask()
+	base := (pc >> 2) ^ (pc >> 7)
 	sum := 0
-	for i := range c.tables {
-		var h uint64
-		if l := c.folds[i]; l.Word >= 0 {
-			h = (words[l.Word] >> l.Shift) & l.Mask
+	for i := range tables {
+		h := base ^ uint64(i)*0x9e37
+		if l := &folds[i]; l.Word >= 0 {
+			h ^= words[l.Word] >> (l.Shift & 63)
 		}
-		idx := uint32((pc>>2)^(pc>>7)^h^uint64(i)*0x9e37) & c.mask()
-		c.lastIdx[i] = idx
-		sum += int(c.tables[i][idx])
+		idx := uint32(h) & mask
+		lastIdx[i] = idx
+		sum += int(tables[i][idx])
 	}
 	tb := uint64(0)
 	if tageTaken {
 		tb = 1
 	}
-	c.lastBias = uint32((pc>>2)<<1|tb) & c.mask()
+	c.lastBias = uint32((pc>>2)<<1|tb) & mask
 	sum += 2*int(c.bias[c.lastBias]) + 1
 	if c.local != nil {
 		sum += c.local.vote(pc)

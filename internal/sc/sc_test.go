@@ -26,6 +26,7 @@ func TestValidation(t *testing.T) {
 		{HistLengths: []int{0, 4}, LogEntries: 2, CounterBits: 6},
 		{HistLengths: []int{0, 4}, LogEntries: 10, CounterBits: 1},
 		{HistLengths: []int{0, 4}, LogEntries: 25, CounterBits: 6},
+		{HistLengths: []int{0, history.MaxLength}, LogEntries: 10, CounterBits: 6},
 		{HistLengths: []int{0, history.MaxLength + 1}, LogEntries: 10, CounterBits: 6},
 		{HistLengths: []int{-1, 4}, LogEntries: 10, CounterBits: 6},
 	}

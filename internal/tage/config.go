@@ -5,7 +5,11 @@
 // unchanged hash functions — §II-C).
 package tage
 
-import "fmt"
+import (
+	"fmt"
+
+	"llbp/internal/history"
+)
 
 // DefaultHistLengths is the geometric history-length series of the
 // modelled 64KiB TAGE-SC-L: 21 tagged tables spanning 4..3000 bits of
@@ -112,6 +116,9 @@ func (c Config) Validate() error {
 	for i, h := range c.HistLengths {
 		if h <= prev {
 			return fmt.Errorf("tage: history lengths must be strictly increasing (table %d: %d after %d)", i, h, prev)
+		}
+		if h >= history.MaxLength {
+			return fmt.Errorf("tage: table %d history length %d out of range [1,%d)", i, h, history.MaxLength)
 		}
 		prev = h
 		if c.TagBits[i] < 4 || c.TagBits[i] > 16 {

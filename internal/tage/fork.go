@@ -24,10 +24,13 @@ func (p *Predictor) Fork() *Predictor {
 			out.inf[i] = nm
 		}
 	} else {
-		out.tables = make([][]entry, len(p.tables))
-		for i := range p.tables {
-			out.tables[i] = append([]entry(nil), p.tables[i]...)
+		// The tables lie back to back in one backing array, so copying
+		// them in order into one allocation copies that array.
+		backing := make([]entry, 0, p.PatternCount())
+		for _, t := range p.tables {
+			backing = append(backing, t...)
 		}
+		out.sliceTables(backing)
 	}
 	if p.engOwner {
 		out.eng = p.eng.Clone()

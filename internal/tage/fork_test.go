@@ -78,3 +78,50 @@ func TestForkEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestForkTableLayout: a fork's tables are cut from one backing array of
+// its own, laid out as New lays them out: each table starts where the one
+// before it ends, with no spare capacity to grow into its neighbour, and
+// the fork allocates that array once rather than table by table.
+// TestForkEquivalence covers the other half, that training a fork leaves
+// the parent unchanged.
+func TestForkTableLayout(t *testing.T) {
+	fresh := mustNew(t, DefaultConfig())
+	parent := mustNew(t, DefaultConfig())
+	driveTAGE(parent, 5, 2000)
+	child := parent.Fork()
+	size := reflect.TypeOf(entry{}).Size()
+	addr := func(tbl []entry) uintptr { return reflect.ValueOf(tbl).Pointer() }
+	for _, tc := range []struct {
+		name string
+		p    *Predictor
+	}{{"new", fresh}, {"parent", parent}, {"fork", child}} {
+		if len(tc.p.tables) != len(fresh.tables) {
+			t.Fatalf("%s: %d tables, want %d", tc.name, len(tc.p.tables), len(fresh.tables))
+		}
+		for i, tbl := range tc.p.tables {
+			if len(tbl) != len(fresh.tables[i]) || cap(tbl) != len(tbl) {
+				t.Errorf("%s: table %d has len %d cap %d, want both %d", tc.name, i, len(tbl), cap(tbl), len(fresh.tables[i]))
+			}
+			if i == 0 {
+				continue
+			}
+			if prev := tc.p.tables[i-1]; addr(tbl) != addr(prev)+uintptr(len(prev))*size {
+				t.Errorf("%s: table %d does not start where table %d ends", tc.name, i, i-1)
+			}
+		}
+	}
+	if addr(child.tables[0]) == addr(parent.tables[0]) {
+		t.Error("the fork shares its parent's tables")
+	}
+	// Besides what the bimodal fork and the engine clone allocate, a fork
+	// allocates the predictor, the table headers and one backing array.
+	// keep holds the results, so no allocation is optimized away.
+	var keep []any
+	forkAllocs := testing.AllocsPerRun(10, func() { keep = append(keep[:0], parent.Fork()) })
+	partAllocs := testing.AllocsPerRun(10, func() { keep = append(keep[:0], parent.bim.Fork(), parent.eng.Clone()) })
+	if forkAllocs != partAllocs+3 {
+		t.Errorf("a fork makes %v allocations, want %v (%v for the bimodal and engine copies, plus 3)",
+			forkAllocs, partAllocs+3, partAllocs)
+	}
+}

@@ -66,7 +66,8 @@ type Predictor struct {
 
 	bim *bimodal.Table
 
-	// Finite storage: tables[i] has 1<<LogEntries[i] entries.
+	// Finite storage: tables[i] has 1<<LogEntries[i] entries, cut from
+	// one backing array by sliceTables.
 	tables [][]entry
 	// Infinite storage: one unbounded associative map per table.
 	inf []map[infKey]*entry
@@ -155,20 +156,11 @@ func New(cfg Config) (*Predictor, error) {
 			p.inf[i] = make(map[infKey]*entry)
 		}
 	} else {
-		// All tables share one flat backing array: a single allocation,
-		// contiguous for the per-branch provider scan.
 		total := 0
 		for i := 0; i < n; i++ {
 			total += 1 << uint(cfg.LogEntries[i])
 		}
-		backing := make([]entry, total)
-		p.tables = make([][]entry, n)
-		off := 0
-		for i := range p.tables {
-			sz := 1 << uint(cfg.LogEntries[i])
-			p.tables[i] = backing[off : off+sz : off+sz]
-			off += sz
-		}
+		p.sliceTables(make([]entry, total))
 	}
 	p.locs = make([]tableLocs, n)
 	for i := 0; i < n; i++ {
@@ -203,6 +195,20 @@ func New(cfg Config) (*Predictor, error) {
 		}
 	}
 	return p, nil
+}
+
+// sliceTables cuts backing into the tagged tables, in table order. All
+// tables share one flat backing array: a single allocation, contiguous
+// for the per-branch provider scan. New and Fork both lay the tables out
+// here, so their layouts are equal.
+func (p *Predictor) sliceTables(backing []entry) {
+	p.tables = make([][]entry, len(p.cfg.LogEntries))
+	off := 0
+	for i := range p.tables {
+		sz := 1 << uint(p.cfg.LogEntries[i])
+		p.tables[i] = backing[off : off+sz : off+sz]
+		off += sz
+	}
 }
 
 // HistoryEngine exposes the shared folded-history engine so the
@@ -298,12 +304,19 @@ func (p *Predictor) Predict(pc uint64) bool {
 	s := &p.scratch
 	s.pc = pc
 	s.provider, s.alt = -1, -1
-	n := len(p.cfg.HistLengths)
-	// Fill the index/tag scratch from the flattened hash plan: the packed
-	// word slice and path value live in locals so the loop body is three
-	// indexed loads plus shifts/xors per table, with no method calls.
-	// index()/tagHash() are the reference formulation of the same hashes.
+	// Fill the index/tag scratch from the flattened hash plan: the plan,
+	// the packed word slice, the path value and the scratch arrays live in
+	// locals so the loop body is three indexed loads plus shifts/xors per
+	// table, with no method calls. The re-slices prove every per-table
+	// index in range (New caps the tables at 64). Every shift count is
+	// below 64 (pcShift ≤ 24, pathShift ≤ 7, fold shifts ≤ 62), so masking
+	// the counts with 63 changes no value and lets the compiler drop its
+	// shift guards. index()/tagHash() are the reference formulation of
+	// the same hashes.
+	plan := p.plan
 	words := p.eng.Words()
+	idxs := s.idx[:len(plan)]
+	tags := s.tag[:len(plan)]
 	pv := p.path
 	base := pc >> 2
 	if !p.cfg.Infinite {
@@ -311,17 +324,18 @@ func (p *Predictor) Predict(pc uint64) bool {
 		// into the scratch during the fill loop, so the 21 random table
 		// loads issue back to back (memory-level parallelism) instead of
 		// serializing through the longest-match scan below.
-		tables := p.tables
-		for i := range p.plan {
-			t := &p.plan[i]
-			h := base ^ (pc >> t.pcShift) ^ (words[t.idxWord] >> t.idxShift) ^ (pv >> t.pathShift)
+		tables := p.tables[:len(plan)]
+		ents := s.ent[:len(plan)]
+		for i := range plan {
+			t := &plan[i]
+			h := base ^ (pc >> (t.pcShift & 63)) ^ (words[t.idxWord] >> (t.idxShift & 63)) ^ (pv >> (t.pathShift & 63))
 			idx := uint32(h & t.idxMask)
-			s.idx[i] = idx
-			th := base ^ (words[t.tag1Word] >> t.tag1Shift) ^ ((words[t.tag2Word] >> t.tag2Shift) << 1)
-			s.tag[i] = uint32(th) & t.tagMask
-			s.ent[i] = tables[i][idx]
+			idxs[i] = idx
+			th := base ^ (words[t.tag1Word] >> (t.tag1Shift & 63)) ^ ((words[t.tag2Word] >> (t.tag2Shift & 63)) << 1)
+			tags[i] = uint32(th) & t.tagMask
+			ents[i] = tables[i][idx]
 		}
-		for i := n - 1; i >= 0; i-- {
+		for i := len(plan) - 1; i >= 0; i-- {
 			e := &s.ent[i]
 			// Same validity rule as lookup(): tag match, and the all-zero
 			// entry never matches.
@@ -342,14 +356,14 @@ func (p *Predictor) Predict(pc uint64) bool {
 			}
 		}
 	} else {
-		for i := range p.plan {
-			t := &p.plan[i]
-			h := base ^ (pc >> t.pcShift) ^ (words[t.idxWord] >> t.idxShift) ^ (pv >> t.pathShift)
-			s.idx[i] = uint32(h & t.idxMask)
-			th := base ^ (words[t.tag1Word] >> t.tag1Shift) ^ ((words[t.tag2Word] >> t.tag2Shift) << 1)
-			s.tag[i] = uint32(th) & t.tagMask
+		for i := range plan {
+			t := &plan[i]
+			h := base ^ (pc >> (t.pcShift & 63)) ^ (words[t.idxWord] >> (t.idxShift & 63)) ^ (pv >> (t.pathShift & 63))
+			idxs[i] = uint32(h & t.idxMask)
+			th := base ^ (words[t.tag1Word] >> (t.tag1Shift & 63)) ^ ((words[t.tag2Word] >> (t.tag2Shift & 63)) << 1)
+			tags[i] = uint32(th) & t.tagMask
 		}
-		for i := n - 1; i >= 0; i-- {
+		for i := len(plan) - 1; i >= 0; i-- {
 			if e := p.lookup(i, pc, s.idx[i], s.tag[i]); e != nil {
 				if s.provider < 0 {
 					s.provider = i

@@ -4,6 +4,7 @@ import (
 	"llbp/internal/assert"
 	"testing"
 
+	"llbp/internal/history"
 	"llbp/internal/trace"
 )
 
@@ -228,6 +229,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.BimodalLog = 1 },
 		func(c *Config) { c.CounterBits = 1 },
 		func(c *Config) { c.PathBits = 0 },
+		func(c *Config) { c.HistLengths[len(c.HistLengths)-1] = history.MaxLength },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()

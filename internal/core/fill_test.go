@@ -3,9 +3,11 @@ package core
 import (
 	"testing"
 
+	"llbp/internal/history"
 	"llbp/internal/predictor"
 	"llbp/internal/sim"
 	"llbp/internal/trace"
+	"llbp/internal/tsl"
 	"llbp/internal/workload"
 )
 
@@ -47,7 +49,11 @@ func (c *fillChecked) Predict(pc uint64) bool {
 // A shift count masked to fewer than six bits reads the wrong field of a
 // fold above bit 31: by default LLBP's 12-bit folds of the 9- and
 // 11-bit-tag TAGE lengths sit there, and with 14-bit tags so do its
-// 14-bit folds of the 13-bit-tag lengths.
+// 14-bit folds of the 13-bit-tag lengths. The zero-length configuration
+// adds a length-0 pattern (an empty window, whose key is the PC alone).
+// The boundary one straddles the direct/packed boundary, so both key-fill
+// loops have their first and last length checked, and with 4-bit tags its
+// length-63 folds need five log steps, more than the unrolled three.
 func TestKeyFillMatchesTagFor(t *testing.T) {
 	smallCD := DefaultConfig()
 	smallCD.NumContexts = 1024
@@ -55,6 +61,17 @@ func TestKeyFillMatchesTagFor(t *testing.T) {
 	smallCD.CIDBits = 11
 	tag14 := DefaultConfig()
 	tag14.TagBits = 14
+	zeroLen := DefaultConfig()
+	zeroLen.HistLengths = append([]HistLen{{0, false}}, DefaultHistLengths[:15]...)
+	boundary := DefaultConfig()
+	boundary.HistLengths = []HistLen{
+		{0, false}, {12, false}, {63, false}, {63, true},
+		{64, false}, {78, false}, {78, true}, {112, false},
+		{161, false}, {232, false}, {336, false}, {482, false},
+		{695, false}, {1444, false}, {3000, false}, {3000, true},
+	}
+	tag4 := boundary
+	tag4.TagBits = 4
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -62,6 +79,9 @@ func TestKeyFillMatchesTagFor(t *testing.T) {
 		{"default", DefaultConfig()},
 		{"smallcd", smallCD},
 		{"tag14", tag14},
+		{"zerolen", zeroLen},
+		{"boundary", boundary},
+		{"tag4", tag4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, clock := newTestLLBP(t, tc.cfg)
@@ -83,5 +103,25 @@ func TestKeyFillMatchesTagFor(t *testing.T) {
 				t.Fatalf("only %d PB hits in the prefix; the check needs a warm PB", c.hits)
 			}
 		})
+	}
+}
+
+// TestCompositePackedWords: the default composites push only their folds
+// of RecentBits or more history bits. The 64K TSL's engine and the LLBP
+// composite's each hold 11 packed words, one per TAGE length from 78 up
+// (LLBP's folds of those lengths share TAGE's words), and registering a
+// direct fold adds none.
+func TestCompositePackedWords(t *testing.T) {
+	base := tsl.MustNew(tsl.Config64K())
+	if n := len(base.TAGE().HistoryEngine().Words()); n != 11 {
+		t.Errorf("64K TSL engine packs %d words, want 11", n)
+	}
+	p, _ := newTestLLBP(t, DefaultConfig())
+	if n := len(p.eng.Words()); n != 11 {
+		t.Errorf("LLBP composite engine packs %d words, want 11", n)
+	}
+	p.eng.Register(history.RecentBits-1, 7)
+	if n := len(p.eng.Words()); n != 11 {
+		t.Errorf("a direct registration grew the engine to %d words, want 11", n)
 	}
 }

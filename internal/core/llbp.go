@@ -72,7 +72,7 @@ type Predictor struct {
 	// Shared folded-history engine (§V-B: LLBP's folds are identical in
 	// content to the baseline's, so the composite owns one engine, adopted
 	// from the baseline TAGE, and pushes it exactly once per branch for
-	// both components). f1Loc/f2Loc cache the packed locations of LLBP's
+	// both components). f1Loc/f2Loc cache the locations of LLBP's
 	// TagBits and TagBits-1 folds per distinct history length.
 	eng   *history.Engine
 	f1Loc []history.Loc
@@ -80,8 +80,13 @@ type Predictor struct {
 	// lenFold maps a HistLengths index to its distinct-length fold index.
 	lenFold []int
 	// tagPlan flattens tagFor's per-length state (fold locations resolved
-	// through lenFold, AltHash flag) for matchPatterns' key-fill loop.
-	tagPlan []tagPlan
+	// through lenFold, AltHash flag) for matchPatterns' key-fill loops.
+	// Lengths ascend, so tagPlan[:nDirect] are the direct lengths (below
+	// history.RecentBits) and the rest packed; the direct lengths fold
+	// with sched1 (TagBits) and sched2 (TagBits-1).
+	tagPlan        []tagPlan
+	nDirect        int
+	sched1, sched2 history.Schedule
 
 	stats  Stats
 	tel    coreTel
@@ -171,23 +176,35 @@ func New(cfg Config, base *tsl.Predictor, clock *predictor.Clock) (*Predictor, e
 	p.tagPlan = make([]tagPlan, len(cfg.HistLengths))
 	for i, h := range cfg.HistLengths {
 		l1, l2 := p.f1Loc[p.lenFold[i]], p.f2Loc[p.lenFold[i]]
-		p.tagPlan[i] = tagPlan{
-			m1: l1.Mask, m2: l2.Mask,
-			w1: l1.Word, w2: l2.Word,
-			s1: l1.Shift, s2: l2.Shift,
-			alt: h.AltHash,
+		t := &p.tagPlan[i]
+		t.alt = h.AltHash
+		if l1.Direct() {
+			// Both folds share the length, so both are direct.
+			p.nDirect = i + 1
+			t.win = uint64(1)<<uint(h.Len) - 1
+			// The narrower fold takes at least as many steps.
+			t.steps = uint8(history.FoldSteps(h.Len, cfg.TagBits-1))
+		} else {
+			t.m1, t.m2 = l1.Mask, l2.Mask
+			t.w1, t.w2 = l1.Word, l2.Word
+			t.s1, t.s2 = l1.Shift, l2.Shift
 		}
 	}
+	p.sched1, p.sched2 = history.NewSchedule(cfg.TagBits), history.NewSchedule(cfg.TagBits-1)
 	return p, nil
 }
 
-// tagPlan is one history length's flattened tag-hash schedule: the two
-// fold locations (already resolved through lenFold) and the AltHash
-// flag, laid out for sequential reads in matchPatterns' key-fill loop.
+// tagPlan is one history length's flattened tag-hash schedule, laid out
+// for sequential reads in matchPatterns' key-fill loops: for a direct
+// length the window mask and log-step count, for a packed one the two
+// fold locations (already resolved through lenFold); and the AltHash
+// flag.
 type tagPlan struct {
-	m1, m2 uint64
+	win    uint64 // direct: 1<<length - 1, the window bits folded
+	m1, m2 uint64 // packed: field masks
 	w1, w2 int32
 	s1, s2 uint8
+	steps  uint8 // direct
 	alt    bool
 }
 
@@ -286,9 +303,7 @@ func (p *Predictor) AttachTelemetry(reg *telemetry.Registry) {
 // histories differently, like the baseline TAGE's modified hash.
 func (p *Predictor) tagFor(pc uint64, lenIdx int) uint32 {
 	fi := p.lenFold[lenIdx]
-	l1, l2 := p.f1Loc[fi], p.f2Loc[fi]
-	f1 := (p.eng.Word(l1.Word) >> l1.Shift) & l1.Mask
-	f2 := (p.eng.Word(l2.Word) >> l2.Shift) & l2.Mask
+	f1, f2 := p.eng.Load(p.f1Loc[fi]), p.eng.Load(p.f2Loc[fi])
 	mask := uint64(1)<<uint(p.cfg.TagBits) - 1
 	if p.cfg.HistLengths[lenIdx].AltHash {
 		rot := (f1 << 3) | (f1 >> uint(p.cfg.TagBits-3))
@@ -427,31 +442,37 @@ func (p *Predictor) tickGate() {
 // and one compare, with the matching slot carried in a conditional move.
 func (p *Predictor) matchPatterns(pc uint64) {
 	// Key fill: tagFor unrolled over the flattened plan with the plan, the
-	// packed word slice and the key array in locals, so each length costs
-	// two indexed loads plus shifts/xors (tagFor is the reference
-	// formulation of the same hash). The re-slice proves keys[li] in range
-	// (Validate caps the lengths at maxLengths). Every shift count is below
-	// 64 (a fold's field lies inside its 64-bit word, and the tag mask and
-	// rotate shift by TagBits and TagBits-3, with TagBits ≤ 31), so masking
-	// the counts with 63 changes no value and lets the compiler drop its
-	// shift guards.
+	// fold sources and the key array in locals (tagFor is the reference
+	// formulation of the same hash). A direct length folds the recent
+	// window, masked once to its length, at both tag widths; a packed
+	// length costs two indexed loads. The re-slice proves keys[li] in
+	// range (Validate caps the lengths at maxLengths). Every shift count
+	// is below 64 (a fold's field lies inside its 64-bit word, schedule
+	// counts are at most 63, and the tag mask and rotate shift by TagBits
+	// and TagBits-3, with TagBits ≤ 31), so masking the counts with 63
+	// changes no value and lets the compiler drop its shift guards.
 	plan := p.tagPlan
 	keys := p.wantKeys[:len(plan)]
-	words := p.eng.Words()
 	mask := uint64(1)<<(uint(p.cfg.TagBits)&63) - 1
 	rot := uint(p.cfg.TagBits-3) & 63
 	base := pc >> 2
-	for li := range plan {
+	direct := plan[:p.nDirect]
+	rec := p.eng.Recent()
+	s1, s2 := &p.sched1, &p.sched2
+	for li := range direct {
+		t := &direct[li]
+		x, n := rec&t.win, int(t.steps)
+		// The folds' field masks are mask and mask>>1.
+		f1 := s1.Fold(x, n) & mask
+		f2 := s2.Fold(x, n) & (mask >> 1)
+		keys[li] = patternKey(li, base, f1, f2, mask, rot, t.alt)
+	}
+	words := p.eng.Words()
+	for li := len(direct); li < len(plan); li++ {
 		t := &plan[li]
 		f1 := (words[t.w1] >> (t.s1 & 63)) & t.m1
 		f2 := (words[t.w2] >> (t.s2 & 63)) & t.m2
-		var tag uint64
-		if t.alt {
-			tag = (base ^ ((f1 << 3) | (f1 >> rot)) ^ (f2 << 2)) & mask
-		} else {
-			tag = (base ^ f1 ^ (f2 << 1)) & mask
-		}
-		keys[li] = laneValidBit | uint64(li)<<laneLenShift | tag
+		keys[li] = patternKey(li, base, f1, f2, mask, rot, t.alt)
 	}
 	lanes := p.pbe.Ent.Set.lanes()
 	slot := -1
@@ -473,6 +494,19 @@ func (p *Predictor) matchPatterns(pc uint64) {
 	p.matchSlot = slot
 	p.llbpTaken = laneCtr(lane) >= 0
 	p.llbpLenIdx = int((lane >> laneLenShift) & laneLenMask)
+}
+
+// patternKey packs the match key of length index li — valid bit, length
+// index and tag, exactly as the lanes store them — from the length's two
+// folds, combined as tagFor combines them (rot is TagBits-3).
+func patternKey(li int, base, f1, f2, mask uint64, rot uint, alt bool) uint64 {
+	var tag uint64
+	if alt {
+		tag = (base ^ ((f1 << 3) | (f1 >> rot)) ^ (f2 << 2)) & mask
+	} else {
+		tag = (base ^ f1 ^ (f2 << 1)) & mask
+	}
+	return laneValidBit | uint64(li)<<laneLenShift | tag
 }
 
 // maxLengths bounds the per-prediction tag scratch.

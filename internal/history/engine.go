@@ -5,25 +5,130 @@ import "llbp/internal/assert"
 // FoldID names one folded-history register inside an Engine.
 type FoldID int32
 
-// Loc is the packed location of one folded register: its value is
-// (words[Word] >> Shift) & Mask. Readers on the per-branch hot path cache
-// the Loc once and load the word directly through Engine.Word, which
-// inlines to an indexed load. A zero-length register occupies no word:
-// its Word is negative and its value is constant zero.
+// RecentBits is the width of the Engine's recent-history window, the last
+// RecentBits outcomes kept in one machine word. A register whose history
+// length is below RecentBits is direct: it holds no state and is folded
+// from the window when read. Longer registers are packed: they are fields
+// of packed words that every push advances. The rule depends on the
+// length alone, so every fold of one history length is read the same way.
+const RecentBits = 64
+
+// Loc says where one folded register's value comes from. A packed
+// register reads (words[Word] >> Shift) & Mask. A direct register has a
+// negative Word and reads FoldWindow(recent & (1<<Len - 1), Len, Width) &
+// Mask, where recent is Engine.Recent. A zero-length register is direct
+// with an empty window, so it reads zero. Readers on the per-branch hot
+// path cache the Loc once and load the word through Engine.Words or the
+// window through Engine.Recent, splitting their loops at the first packed
+// length (lengths ascend in every predictor's configuration).
 type Loc struct {
 	Word  int32
-	Shift uint8
+	Shift uint8 // packed: the field's offset in its word
+	Len   uint8 // direct: history length, the window bits folded
+	Width uint8 // direct: fold width
 	Mask  uint64
+}
+
+// Direct reports whether the register is folded from the recent window.
+func (l Loc) Direct() bool { return l.Word < 0 }
+
+// FoldWindow XOR-folds x, a history of at most length bits (newest
+// outcome at bit 0, nothing at or above bit length) with length below
+// RecentBits, into its low width bits. The fold runs in log steps: after
+// the steps that shift by width, 2·width, …, 2^(k−1)·width, bits
+// [0, width) hold the XOR of the first 2^k width-bit chunks of x, and the
+// loop stops once 2^k·width covers length. Those chunks are exactly the
+// ones Global.Hash XORs (bit i lands at position i mod width), so the low
+// width bits equal Global.Hash(length, width) of a history whose most
+// recent bits are x, for every width in [1, 63]. The bits above width
+// hold partial sums; callers mask them off, or let a downstream mask do
+// it. Every shift count is below length, so below 64, and the & 63 lets
+// the compiler drop its shift guard without changing a count.
+//
+// This is the reference form. The hot-path readers run the same steps
+// branch-free through a Schedule.
+func FoldWindow(x uint64, length, width uint8) uint64 {
+	for s := uint(width); s < uint(length); s <<= 1 {
+		x ^= x >> (s & 63)
+	}
+	return x
+}
+
+// MaxFoldSteps is the most log steps a direct fold takes: a window holds
+// fewer than RecentBits bits, and width<<6 ≥ RecentBits for every width.
+const MaxFoldSteps = 6
+
+// FoldSteps returns the number of log steps FoldWindow takes for a
+// length-bit history at width bits, width ≥ 1: the smallest n with
+// width<<n ≥ length.
+func FoldSteps(length, width int) int {
+	n := 0
+	for width<<n < length {
+		n++
+	}
+	return n
+}
+
+// Schedule is the log-step shift schedule of one fold width, for the
+// hot-path readers of direct registers: entry k is width<<k, capped at 63.
+// A step whose count reaches the window's length is a no-op — the window
+// has no bits at or above its length, and bit 63 is never among them — so
+// a reader may run more steps than a fold needs and still read the fold.
+type Schedule [MaxFoldSteps]uint8
+
+// NewSchedule returns the schedule of a width-bit fold, width in [1, 63].
+func NewSchedule(width int) Schedule {
+	var s Schedule
+	for k := range s {
+		s[k] = 63
+		if c := width << k; c < 63 {
+			s[k] = uint8(c)
+		}
+	}
+	return s
+}
+
+// Fold folds the window x like FoldWindow, running the schedule's first
+// steps steps, steps ≤ MaxFoldSteps. Steps commute, so up to three of
+// them run unrolled from the last one down, straight-line after the one
+// switch: a loop over the steps mispredicts its exit whenever the step
+// count changes from one fold to the next, and readers run their folds in
+// length order, so neighbouring folds mostly share a count and the switch
+// predicts well. The bits above the width hold partial sums, as in
+// FoldWindow. Every count is at most 63, so masking the counts with 63
+// changes no value and lets the compiler drop its shift guards.
+func (s *Schedule) Fold(x uint64, steps int) uint64 {
+	switch steps {
+	case 0:
+	case 3:
+		x ^= x >> (s[2] & 63)
+		fallthrough
+	case 2:
+		x ^= x >> (s[1] & 63)
+		fallthrough
+	case 1:
+		x ^= x >> (s[0] & 63)
+	default:
+		for k := range s[:steps] {
+			x ^= x >> (s[k] & 63)
+		}
+	}
+	return x
 }
 
 // Engine maintains every folded-history register of a predictor composite
 // in one place — TAGE's index and tag folds, the statistical corrector's
 // component folds and LLBP's pattern-tag folds — so each distinct
-// (length, width) fold is updated exactly once per branch no matter how
+// (length, width) fold is updated at most once per branch no matter how
 // many components read it (§V-B: LLBP's fold mirrors are by construction
 // identical in content to the baseline's).
 //
-// Registers are bit-packed: all folds of one history length share packed
+// Folds of histories shorter than RecentBits need no per-branch update:
+// the Engine keeps the last RecentBits outcomes in one word, and such a
+// fold is computed from it when read (see FoldWindow). Only the longer
+// folds are maintained incrementally.
+//
+// Those are bit-packed: all folds of one history length share packed
 // 64-bit words, each field separated by a single spare bit. One Push then
 // updates a whole word of folds with a handful of ALU ops — the shift-in,
 // the outgoing-bit injection and the final masking are shared by every
@@ -37,8 +142,11 @@ type Loc struct {
 // The Engine also owns the global history register the folds compress, so
 // the per-branch outgoing-bit reads are deduplicated per distinct length.
 type Engine struct {
-	ghr   Global
-	words []uint64
+	ghr Global
+	// recent is the recent-history window: the last RecentBits outcomes,
+	// newest at bit 0. Direct registers are folded from it on read.
+	recent uint64
+	words  []uint64
 	// plan is the flat per-branch update schedule, one entry per packed
 	// word (plan[i] updates words[i]), grouped so words of the same
 	// history length are adjacent and the outgoing-bit read is shared.
@@ -94,29 +202,33 @@ func NewEngine() *Engine {
 // shapes are length in [0, MaxLength) and width in [1, 63]. Registers
 // with identical (length, width) are shared. Registration is valid at any
 // point: a register added after pushes starts at the fold of the current
-// history, exactly as if it had been maintained from the start.
+// history, exactly as if it had been maintained from the start. A
+// register of a length below RecentBits is direct and adds no packed
+// word.
 func (e *Engine) Register(length, width int) FoldID {
 	if width <= 0 || width > 63 || length < 0 || length >= MaxLength {
 		// Debug builds trap the bad shape; release builds degrade it to
-		// the constant-zero fold, like Global.Hash on an invalid width.
+		// the constant-zero fold (the empty window), like Global.Hash on
+		// an invalid width.
 		assert.Failf("history: invalid fold register (length %d, width %d)", length, width)
-		length = 0
+		length, width = 0, 1
 	}
 	key := engineKey{length, width}
 	if id, ok := e.index[key]; ok {
 		return id
 	}
 	id := FoldID(len(e.locs))
-	if length == 0 {
-		// Zero-length folds are constant zero and occupy no word.
-		e.locs = append(e.locs, Loc{Word: -1})
+	mask := uint64(1)<<uint(width) - 1
+	if length < RecentBits {
+		// The window always holds the current history, so a direct
+		// register needs no state and no seeding.
+		e.locs = append(e.locs, Loc{Word: -1, Len: uint8(length), Width: uint8(width), Mask: mask})
 		e.index[key] = id
 		return id
 	}
 	wi := e.fit(length, uint8(width))
 	w := &e.plan[wi]
 	shift := w.used
-	mask := uint64(1)<<uint(width) - 1
 	outpoint := length % width
 	w.inject |= 1 << shift
 	w.outPts |= 1 << (shift + uint8(outpoint))
@@ -175,10 +287,10 @@ func (w *packedWord) addWrap(hiMask uint64, width uint8) {
 	w.nwrap++
 }
 
-// Push shifts one branch outcome into the global history and advances
-// every registered fold. This is the single per-branch history update of
-// the whole composite: the owner (the outermost predictor) calls it
-// exactly once per branch.
+// Push shifts one branch outcome into the global history and the recent
+// window and advances every packed fold. This is the single per-branch
+// history update of the whole composite: the owner (the outermost
+// predictor) calls it exactly once per branch.
 func (e *Engine) Push(taken bool) {
 	// in is all ones for a taken branch, so in&inject selects the
 	// incoming-bit positions without a multiply.
@@ -186,6 +298,7 @@ func (e *Engine) Push(taken bool) {
 	if taken {
 		in = ^uint64(0)
 	}
+	e.recent = e.recent<<1 | in&1
 	e.ghr.Push(taken)
 	// Loop state lives in locals: the re-slice proves words[wi] in range
 	// (it panics if the one-word-per-plan-entry invariant ever breaks),
@@ -221,23 +334,26 @@ func (e *Engine) Push(taken bool) {
 }
 
 // Value returns the current fold of register id.
-func (e *Engine) Value(id FoldID) uint64 {
-	l := e.locs[id]
-	if l.Word < 0 {
-		return 0
+func (e *Engine) Value(id FoldID) uint64 { return e.Load(e.locs[id]) }
+
+// Load returns the current value of the register at l: the reference
+// read of both kinds of register, which the hot-path readers unroll.
+func (e *Engine) Load(l Loc) uint64 {
+	if l.Direct() {
+		return FoldWindow(e.recent&(1<<(l.Len&63)-1), l.Len, l.Width) & l.Mask
 	}
 	return (e.words[l.Word] >> l.Shift) & l.Mask
 }
 
-// Loc returns the packed location of register id, for hot-path readers
-// that cache it and load through Word directly. Locations are stable for
-// the lifetime of the engine and all of its clones (words are
+// Loc returns the location of register id, for hot-path readers that
+// cache it and read through Words or Recent directly. Locations are
+// stable for the lifetime of the engine and all of its clones (words are
 // append-only).
 func (e *Engine) Loc(id FoldID) Loc { return e.locs[id] }
 
-// Word returns packed word i. Combined with a cached Loc this is the
-// zero-overhead read path: (e.Word(l.Word) >> l.Shift) & l.Mask.
-func (e *Engine) Word(i int32) uint64 { return e.words[i] }
+// Recent returns the recent-history window: the last RecentBits
+// outcomes, newest at bit 0. Direct registers fold it (see Loc).
+func (e *Engine) Recent() uint64 { return e.recent }
 
 // Words returns the live packed-word storage for readers that batch many
 // fold loads per branch: caching the slice in a local hoists the engine
@@ -257,11 +373,12 @@ func (e *Engine) Hash(length, width int) uint64 { return e.ghr.Hash(length, widt
 // clone — layouts are equal by construction.
 func (e *Engine) Clone() *Engine {
 	out := &Engine{
-		ghr:   e.ghr,
-		words: append([]uint64(nil), e.words...),
-		plan:  append([]packedWord(nil), e.plan...),
-		locs:  append([]Loc(nil), e.locs...),
-		index: make(map[engineKey]FoldID, len(e.index)),
+		ghr:    e.ghr,
+		recent: e.recent,
+		words:  append([]uint64(nil), e.words...),
+		plan:   append([]packedWord(nil), e.plan...),
+		locs:   append([]Loc(nil), e.locs...),
+		index:  make(map[engineKey]FoldID, len(e.index)),
 	}
 	//llbplint:allow determinism -- map-to-map deep copy: the result is the same set of entries whatever order the range visits
 	for k, v := range e.index {

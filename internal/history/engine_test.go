@@ -1,6 +1,7 @@
 package history
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -123,7 +124,7 @@ func TestEngineDedupe(t *testing.T) {
 	if la == lb {
 		t.Error("distinct registers share a location")
 	}
-	if (e.Word(la.Word)>>la.Shift)&la.Mask != e.Value(a) {
+	if (e.Words()[la.Word]>>la.Shift)&la.Mask != e.Value(a) {
 		t.Error("Loc/Word read disagrees with Value")
 	}
 }
@@ -250,9 +251,9 @@ func TestEngineZeroLength(t *testing.T) {
 	}
 }
 
-// TestFoldedZeroLength: a zero-length fold occupies no packed word (its
-// Loc has a negative Word, which hot-path readers test) and stays zero on
-// every push while a live fold in the same engine changes.
+// TestFoldedZeroLength: a zero-length fold is direct with an empty window,
+// so it occupies no packed word (its Loc has a negative Word) and stays
+// zero on every push while a live fold in the same engine changes.
 func TestFoldedZeroLength(t *testing.T) {
 	e := NewEngine()
 	live := e.Register(10, 10)
@@ -274,6 +275,102 @@ func TestFoldedZeroLength(t *testing.T) {
 	}
 }
 
+// directShapes returns every direct shape — each length in
+// [0, RecentBits) at each width in [1, 63] — and the packed shapes of
+// lengths RecentBits and RecentBits+1 at each width, so both sides of the
+// boundary are covered.
+func directShapes() []shape {
+	var regs []shape
+	for l := 0; l <= RecentBits+1; l++ {
+		for w := 1; w <= 63; w++ {
+			regs = append(regs, shape{l, w})
+		}
+	}
+	return regs
+}
+
+// checkEngine fails unless every register of e equals the reference fold
+// of ghr and, for a direct register, the hot-path read through its
+// Schedule — at every step count from FoldSteps up, since a step a fold
+// does not need is a no-op.
+func checkEngine(t *testing.T, e *Engine, ghr *Global, regs []shape, ids []FoldID, what string) {
+	t.Helper()
+	for i, r := range regs {
+		want := ghr.Hash(r.length, r.width)
+		if got := e.Value(ids[i]); got != want {
+			t.Fatalf("%s: fold(%d->%d) = %#x, reference %#x", what, r.length, r.width, got, want)
+		}
+		l := e.Loc(ids[i])
+		if l.Direct() != (r.length < RecentBits) {
+			t.Fatalf("%s: fold(%d->%d) direct = %v", what, r.length, r.width, l.Direct())
+		}
+		if !l.Direct() {
+			continue
+		}
+		x := e.Recent() & (1<<uint(r.length) - 1)
+		sched := NewSchedule(r.width)
+		for n := FoldSteps(r.length, r.width); n <= MaxFoldSteps; n++ {
+			if got := sched.Fold(x, n) & l.Mask; got != want {
+				t.Fatalf("%s: fold(%d->%d) over %d schedule steps = %#x, reference %#x", what, r.length, r.width, n, got, want)
+			}
+		}
+	}
+}
+
+// TestEngineDirectExact: every direct shape, and the packed shapes just
+// past the boundary, equal Global.Hash after every push of a random
+// stream, read through Value and through the hot path's Schedule. A clone
+// taken mid-stream carries the recent window and keeps tracking, and
+// registers added late — the length-37 shapes and a packed one on the
+// clone, another packed one on the parent — start at the reference fold.
+func TestEngineDirectExact(t *testing.T) {
+	var regs, late []shape
+	for _, r := range directShapes() {
+		if r.length == 37 {
+			late = append(late, r)
+		} else {
+			regs = append(regs, r)
+		}
+	}
+	late = append(late, shape{RecentBits + 7, 5})
+	e := NewEngine()
+	ids := make([]FoldID, len(regs))
+	for i, r := range regs {
+		ids[i] = e.Register(r.length, r.width)
+	}
+	ghr := NewGlobal()
+	rng := engineRNG(0x5eed_0064)
+	var c *Engine
+	var cGHR Global
+	var cRegs []shape
+	var cIDs []FoldID
+	for step := 0; step < 300; step++ {
+		taken := rng.next()&1 == 1
+		e.Push(taken)
+		ghr.Push(taken)
+		checkEngine(t, e, ghr, regs, ids, fmt.Sprintf("step %d", step))
+		if c != nil {
+			// The clone sees the opposite outcome, so a clone that shared
+			// the parent's window would fail here.
+			c.Push(!taken)
+			cGHR.Push(!taken)
+			checkEngine(t, c, &cGHR, cRegs, cIDs, fmt.Sprintf("clone step %d", step))
+		}
+		if step == 150 {
+			c, cGHR = e.Clone(), *ghr
+			cRegs = append(append([]shape(nil), regs...), late...)
+			cIDs = append([]FoldID(nil), ids...)
+			for _, r := range late {
+				cIDs = append(cIDs, c.Register(r.length, r.width))
+			}
+			checkEngine(t, c, &cGHR, cRegs, cIDs, "clone with late registrations")
+			regs = append(regs, shape{RecentBits + 7, 9})
+			ids = append(ids, e.Register(RecentBits+7, 9))
+			checkEngine(t, e, ghr, regs, ids, "late packed registration")
+		}
+	}
+}
+
 func BenchmarkEnginePush(b *testing.B) {
 	e := NewEngine()
 	for _, r := range compositeShapes() {
@@ -283,4 +380,92 @@ func BenchmarkEnginePush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Push(i&3 != 0)
 	}
+}
+
+// fuzzShape decodes one (length, width) shape from three fuzz bytes: a
+// little-endian length and a width byte, width 1 + b%63. With the
+// length's top bit set the length is taken mod MaxLength; clear, mod
+// 2*RecentBits+32, so that shapes at the direct/packed boundary, and
+// packed folds short enough for the stream to retire their bits, are the
+// common case.
+func fuzzShape(b []byte) shape {
+	v := int(b[0]) | int(b[1])<<8
+	length := v % (2*RecentBits + 32)
+	if v&0x8000 != 0 {
+		length = v % MaxLength
+	}
+	return shape{length, 1 + int(b[2])%63}
+}
+
+// FuzzEngine registers fuzz-chosen shapes, pushes a fuzz-chosen outcome
+// stream, clones the engine at a fuzz-chosen step and registers one more
+// shape on the clone, which from then on sees the opposite outcomes.
+// Every fold of both engines must equal Global.Hash after every push.
+// Input: a shape count (1 + byte%8), that many three-byte shapes (see
+// fuzzShape), the clone step, the late shape, then the stream, one
+// outcome per bit, at most 512 pushes.
+func FuzzEngine(f *testing.F) {
+	f.Add([]byte{
+		2, 63, 0, 12, 64, 0, 12, 0, 0, 9, // (63, 13) (64, 13) (0, 10)
+		20, 40, 0, 7, // clone before push 20; late (40, 8)
+		0xa5, 0x3c, 0xff, 0x00, 0x81, 0x7e, 0x55, 0xaa, 0x0f, 0xf0, 0x99, 0x66,
+	})
+	f.Add([]byte{
+		// LLBP's and TAGE's folds of lengths 12 to 78, and (3000, 13).
+		6, 12, 0, 12, 26, 0, 12, 54, 0, 12, 78, 0, 12, 78, 0, 11, 0xb8, 0x8b, 12, 3, 0, 9,
+		5, 100, 0, 0, // clone before push 5; late (100, 1)
+		0xde, 0xad, 0xbe, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0xfe, 0xdc,
+	})
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0xff}) // (0, 1); clone at once; late (1, 1)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		n := 1 + int(data[0])%8
+		data = data[1:]
+		if len(data) < 3*n+4 {
+			return
+		}
+		regs := make([]shape, n)
+		ids := make([]FoldID, n)
+		e := NewEngine()
+		for i := range regs {
+			regs[i] = fuzzShape(data[3*i:])
+			ids[i] = e.Register(regs[i].length, regs[i].width)
+		}
+		data = data[3*n:]
+		cloneAt := int(data[0])
+		late := fuzzShape(data[1:])
+		stream := data[4:]
+		pushes := min(8*len(stream), 512)
+		ghr := NewGlobal()
+		var c *Engine
+		var cGHR Global
+		var cRegs []shape
+		var cIDs []FoldID
+		check := func(e *Engine, g *Global, regs []shape, ids []FoldID, what string, step int) {
+			for i, r := range regs {
+				if got, want := e.Value(ids[i]), g.Hash(r.length, r.width); got != want {
+					t.Fatalf("%s push %d: fold(%d->%d) = %#x, reference %#x", what, step, r.length, r.width, got, want)
+				}
+			}
+		}
+		for step := 0; step < pushes; step++ {
+			if step == cloneAt {
+				c, cGHR = e.Clone(), *ghr
+				cRegs = append(append([]shape(nil), regs...), late)
+				cIDs = append(append([]FoldID(nil), ids...), c.Register(late.length, late.width))
+				check(c, &cGHR, cRegs, cIDs, "clone", step)
+			}
+			taken := stream[step/8]>>(step%8)&1 == 1
+			e.Push(taken)
+			ghr.Push(taken)
+			check(e, ghr, regs, ids, "engine", step)
+			if c != nil {
+				c.Push(!taken)
+				cGHR.Push(!taken)
+				check(c, &cGHR, cRegs, cIDs, "clone", step)
+			}
+		}
+	})
 }

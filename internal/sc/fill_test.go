@@ -13,13 +13,22 @@ import (
 // hashed from its fold's value as the engine reports it,
 // eng.Value(eng.Register(h, LogEntries)); Register returns the fold New
 // registered. The stream is the first 50k branches of a catalog workload,
-// pushed the way the corrector's owner pushes. In the padded engine a
-// 40-bit fold of each component length is registered first, so the
-// corrector's fields sit at bit 41 of their packed words, where a shift
-// count masked to fewer than six bits reads the wrong field.
+// pushed the way the corrector's owner pushes. Components of lengths 63
+// and 64 put the last direct and the first packed component side by side.
+// In the padded engine a 40-bit fold of each component length is
+// registered first, so the packed components' fields sit at bit 41 of
+// their words, where a shift count masked to fewer than six bits reads
+// the wrong field. With 4-bit tables the longer direct folds need four
+// log steps, more than the unrolled three.
 func TestIndexFillMatchesReference(t *testing.T) {
-	for _, pad := range []bool{false, true} {
+	for _, tc := range []struct {
+		pad        bool
+		logEntries int
+	}{{false, 10}, {true, 10}, {false, 4}} {
+		pad := tc.pad
 		cfg := DefaultConfig()
+		cfg.HistLengths = append(cfg.HistLengths, 63, 64)
+		cfg.LogEntries = tc.logEntries
 		eng := history.NewEngine()
 		if pad {
 			for _, h := range cfg.HistLengths {
@@ -54,8 +63,8 @@ func TestIndexFillMatchesReference(t *testing.T) {
 				v := eng.Value(id)
 				want := uint32((b.PC>>2)^(b.PC>>7)^v^uint64(i)*0x9e37) & c.mask()
 				if c.lastIdx[i] != want {
-					t.Fatalf("padded=%v branch %d (pc %#x): component %d index %#x, reference %#x",
-						pad, n, b.PC, i, c.lastIdx[i], want)
+					t.Fatalf("padded=%v logEntries=%d branch %d (pc %#x): component %d index %#x, reference %#x",
+						pad, tc.logEntries, n, b.PC, i, c.lastIdx[i], want)
 				}
 			}
 			checked++

@@ -20,7 +20,7 @@ import (
 // Config parameterizes the corrector.
 type Config struct {
 	// HistLengths are the global-history lengths of the GEHL components
-	// (0 means a PC-only component).
+	// in non-decreasing order (0 means a PC-only component).
 	HistLengths []int
 	// LogEntries is log2 the entry count of every component table.
 	LogEntries int
@@ -57,9 +57,14 @@ type Corrector struct {
 	tables [][]int8
 	bias   []int8
 	// folds[i] locates component i's (HistLengths[i], LogEntries) fold in
-	// the history engine; PC-only components have Word -1. Locations are
-	// fixed at construction and valid in every clone of the engine.
-	folds []history.Loc
+	// the history engine. Locations are fixed at construction and valid
+	// in every clone of the engine. Lengths ascend, so the direct
+	// components come first: direct[i] is direct component i's window
+	// and step count (a PC-only component folds the empty window in no
+	// steps), and sched the schedule of their LogEntries-bit folds.
+	folds  []history.Loc
+	direct []directFold
+	sched  history.Schedule
 
 	// Dynamic update threshold (Seznec's adaptive threshold): the
 	// corrector trains when |sum| < threshold or on a misprediction, and
@@ -83,6 +88,13 @@ type Corrector struct {
 	// Cumulative reversal count and its telemetry mirror.
 	reversals    uint64
 	telReversals *telemetry.Counter
+}
+
+// directFold is one direct component's fold: the window bits it reads,
+// 1<<length - 1, and its log-step count (history.FoldSteps).
+type directFold struct {
+	window uint64
+	steps  int
 }
 
 // AttachTelemetry wires the corrector's reversal counter to reg (nil
@@ -119,9 +131,19 @@ func New(cfg Config, eng *history.Engine) (*Corrector, error) {
 		if h < 0 || h >= history.MaxLength {
 			return nil, fmt.Errorf("sc: history length %d out of range [0,%d)", h, history.MaxLength)
 		}
+		if i > 0 && h < cfg.HistLengths[i-1] {
+			return nil, fmt.Errorf("sc: history lengths must be non-decreasing (component %d: %d after %d)", i, h, cfg.HistLengths[i-1])
+		}
 		c.tables[i] = make([]int8, 1<<uint(cfg.LogEntries))
 		c.folds[i] = eng.Loc(eng.Register(h, cfg.LogEntries))
+		if c.folds[i].Direct() {
+			c.direct = append(c.direct, directFold{
+				window: uint64(1)<<uint(h) - 1,
+				steps:  history.FoldSteps(h, cfg.LogEntries),
+			})
+		}
 	}
+	c.sched = history.NewSchedule(cfg.LogEntries)
 	c.bias = make([]int8, 1<<uint(cfg.LogEntries))
 	if !cfg.DisableLocal {
 		c.local = newLocalState(8, 11, cfg.LogEntries)
@@ -143,25 +165,35 @@ func (c *Corrector) ctrMin() int8 { return -int8(1) << (c.cfg.CounterBits - 1) }
 // followed by exactly one Update for the same branch.
 func (c *Corrector) Correct(eng *history.Engine, pc uint64, tageTaken bool, tageConfident bool) bool {
 	// The loop state lives in locals; the re-slices prove the per-component
-	// indexes in range (New sizes all three per component). A fold's field
-	// mask equals the index mask (each fold is registered at LogEntries
-	// bits), so the final mask clears the neighbouring fields' bits (AND
-	// distributes over XOR). Fold shifts are below 64 (a fold's field lies
-	// inside its 64-bit word), so masking the count with 63 changes no
-	// value and lets the compiler drop its shift guard.
+	// indexes in range (New sizes all three per component). The direct
+	// components come first and fold the recent window masked to their
+	// length; the packed ones read their field. A fold's field mask equals
+	// the index mask (each fold is registered at LogEntries bits), so the
+	// final mask clears the neighbouring fields' bits and a direct fold's
+	// partial sums above its width (AND distributes over XOR). Fold shifts
+	// are below 64 (a fold's field lies inside its 64-bit word), so masking
+	// the count with 63 changes no value and lets the compiler drop its
+	// shift guard.
 	tables := c.tables
 	folds := c.folds[:len(tables)]
 	lastIdx := c.lastIdx[:len(tables)]
-	words := eng.Words()
 	mask := c.mask()
 	base := (pc >> 2) ^ (pc >> 7)
 	sum := 0
-	for i := range tables {
-		h := base ^ uint64(i)*0x9e37
-		if l := &folds[i]; l.Word >= 0 {
-			h ^= words[l.Word] >> (l.Shift & 63)
-		}
-		idx := uint32(h) & mask
+	rec := eng.Recent()
+	direct := c.direct
+	dTables, dIdx := tables[:len(direct)], lastIdx[:len(direct)]
+	sched := &c.sched
+	for i := range direct {
+		d := &direct[i]
+		idx := uint32(base^uint64(i)*0x9e37^sched.Fold(rec&d.window, d.steps)) & mask
+		dIdx[i] = idx
+		sum += int(dTables[i][idx])
+	}
+	words := eng.Words()
+	for i := len(direct); i < len(folds); i++ {
+		l := &folds[i]
+		idx := uint32(base^uint64(i)*0x9e37^(words[l.Word]>>(l.Shift&63))) & mask
 		lastIdx[i] = idx
 		sum += int(tables[i][idx])
 	}

@@ -29,6 +29,8 @@ func TestValidation(t *testing.T) {
 		{HistLengths: []int{0, history.MaxLength}, LogEntries: 10, CounterBits: 6},
 		{HistLengths: []int{0, history.MaxLength + 1}, LogEntries: 10, CounterBits: 6},
 		{HistLengths: []int{-1, 4}, LogEntries: 10, CounterBits: 6},
+		// Lengths must not decrease: the direct components come first.
+		{HistLengths: []int{0, 8, 4}, LogEntries: 10, CounterBits: 6},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg, history.NewEngine()); err == nil {

@@ -13,8 +13,15 @@ import (
 // index() and tagHash(). The scaled configuration widens the index folds
 // to 17 bits, which puts the 12-bit tag folds of the 13-bit-tag tables at
 // bit 32 of their packed words, so a shift count masked to fewer than six
-// bits reads the wrong field.
+// bits reads the wrong field. The boundary configuration's lengths
+// straddle the direct/packed boundary, so both fill loops have their
+// first and last table checked, and its 4-bit tags at length 63 need five
+// log steps (3-bit folds), more than the unrolled three.
 func TestFillMatchesReference(t *testing.T) {
+	boundary := DefaultConfig()
+	boundary.HistLengths = []int{5, 17, 63, 64, 130, 700}
+	boundary.TagBits = []int{9, 4, 4, 12, 13, 16}
+	boundary.LogEntries = []int{10, 9, 10, 11, 10, 12}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -22,9 +29,13 @@ func TestFillMatchesReference(t *testing.T) {
 		{"default", DefaultConfig()},
 		{"infinite", DefaultConfig().InfiniteConfig()},
 		{"scaled", DefaultConfig().Scaled(7)},
+		{"boundary", boundary},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustNew(t, tc.cfg)
+			if tc.name == "boundary" && p.nDirect != 3 {
+				t.Fatalf("%d direct tables, want 3 (lengths 5, 17 and 63)", p.nDirect)
+			}
 			src, err := workload.ByName("Tomcat")
 			if err != nil {
 				t.Fatal(err)

@@ -20,8 +20,7 @@ type entry struct {
 }
 
 // tableLocs caches one tagged table's folded-history locations inside
-// the shared history engine, so the index/tag hashes read packed words
-// directly.
+// the shared history engine, for the reference index/tag hashes.
 type tableLocs struct {
 	idx  history.Loc
 	tag1 history.Loc
@@ -29,17 +28,21 @@ type tableLocs struct {
 }
 
 // tableHash is the flattened per-table hash schedule consumed by
-// Predict's scratch-fill loop: fold word positions and every
-// loop-invariant shift/mask in one sequentially-read struct, so the
-// per-table work is pure ALU ops on three packed-word loads. idxMask
-// doubles as the index fold's field mask (the fold is registered at
-// exactly logE bits), and the tag folds need no field masks at all:
-// their stray high bits land above TagBits and the final tagMask clears
-// them (AND distributes over XOR).
+// Predict's fill loops: every loop-invariant shift and mask of one table
+// in one sequentially read struct, so the per-table work is pure ALU ops.
+// A direct table (history shorter than history.RecentBits) folds the
+// engine's recent window, masked once to its length, at its three fold
+// widths; a packed table loads its three fold fields from packed words.
+// idxMask doubles as the index fold's field mask (the fold is registered
+// at exactly logE bits), and the tag folds need no field masks at all:
+// their stray high bits — a neighbouring field, or a direct fold's
+// partial sums above its width — land above TagBits and the final tagMask
+// clears them (AND distributes over XOR).
 type tableHash struct {
 	idxMask   uint64
+	window    uint64 // direct: 1<<length - 1, the window bits folded
 	tagMask   uint32
-	idxWord   int32
+	idxWord   int32 // packed: fold words and field shifts
 	tag1Word  int32
 	tag2Word  int32
 	idxShift  uint8
@@ -47,6 +50,10 @@ type tableHash struct {
 	tag2Shift uint8
 	pcShift   uint8 // logE - i&3
 	pathShift uint8 // i&7 for long-history tables, 0 otherwise
+	nSteps    uint8 // direct: log steps of the table's longest fold
+	// direct: the fold schedules of the index and the two tag folds, at
+	// widths logE, TagBits and TagBits-1.
+	sched [3]history.Schedule
 }
 
 // infKey identifies a pattern in infinite mode: the full branch PC plus
@@ -86,6 +93,9 @@ type Predictor struct {
 	engOwner bool
 	locs     []tableLocs
 	plan     []tableHash
+	// nDirect counts the direct tables. Lengths strictly increase, so
+	// they are plan[:nDirect] and every later table is packed.
+	nDirect int
 
 	useAltOnNA int8 // 4-bit counter: >=0 means trust alt over newly allocated providers
 	tick       int  // useful-bit aging counter
@@ -186,9 +196,21 @@ func New(cfg Config) (*Predictor, error) {
 		t := &p.plan[i]
 		t.idxMask = uint64(1)<<logE - 1
 		t.tagMask = uint32(1)<<uint(cfg.TagBits[i]) - 1
-		t.idxWord, t.idxShift = l.idx.Word, l.idx.Shift
-		t.tag1Word, t.tag1Shift = l.tag1.Word, l.tag1.Shift
-		t.tag2Word, t.tag2Shift = l.tag2.Word, l.tag2.Shift
+		if l.idx.Direct() {
+			// All three folds share the table's length, so they are all
+			// direct.
+			p.nDirect = i + 1
+			h := cfg.HistLengths[i]
+			t.window = uint64(1)<<uint(h) - 1
+			for f, w := range [3]int{int(logE), cfg.TagBits[i], cfg.TagBits[i] - 1} {
+				t.nSteps = max(t.nSteps, uint8(history.FoldSteps(h, w)))
+				t.sched[f] = history.NewSchedule(w)
+			}
+		} else {
+			t.idxWord, t.idxShift = l.idx.Word, l.idx.Shift
+			t.tag1Word, t.tag1Shift = l.tag1.Word, l.tag1.Shift
+			t.tag2Word, t.tag2Shift = l.tag2.Word, l.tag2.Shift
+		}
 		t.pcShift = uint8(logE - uint(i&3))
 		if cfg.HistLengths[i] >= 16 {
 			t.pathShift = uint8(i & 7)
@@ -260,8 +282,7 @@ func (p *Predictor) index(pc uint64, i int) uint32 {
 	if p.cfg.Infinite {
 		logE = 10
 	}
-	l := p.locs[i].idx
-	h := (pc >> 2) ^ (pc >> (logE - uint(i&3))) ^ ((p.eng.Word(l.Word) >> l.Shift) & l.Mask)
+	h := (pc >> 2) ^ (pc >> (logE - uint(i&3))) ^ p.eng.Load(p.locs[i].idx)
 	if p.cfg.HistLengths[i] >= 16 {
 		h ^= p.path >> uint(i&7)
 	} else {
@@ -273,9 +294,7 @@ func (p *Predictor) index(pc uint64, i int) uint32 {
 // tagHash computes the partial tag for table i.
 func (p *Predictor) tagHash(pc uint64, i int) uint32 {
 	l := &p.locs[i]
-	f1 := (p.eng.Word(l.tag1.Word) >> l.tag1.Shift) & l.tag1.Mask
-	f2 := (p.eng.Word(l.tag2.Word) >> l.tag2.Shift) & l.tag2.Mask
-	h := (pc >> 2) ^ f1 ^ (f2 << 1)
+	h := (pc >> 2) ^ p.eng.Load(l.tag1) ^ (p.eng.Load(l.tag2) << 1)
 	return uint32(h & (uint64(1)<<uint(p.cfg.TagBits[i]) - 1))
 }
 
@@ -305,34 +324,41 @@ func (p *Predictor) Predict(pc uint64) bool {
 	s.pc = pc
 	s.provider, s.alt = -1, -1
 	// Fill the index/tag scratch from the flattened hash plan: the plan,
-	// the packed word slice, the path value and the scratch arrays live in
-	// locals so the loop body is three indexed loads plus shifts/xors per
-	// table, with no method calls. The re-slices prove every per-table
-	// index in range (New caps the tables at 64). Every shift count is
-	// below 64 (pcShift ≤ 24, pathShift ≤ 7, fold shifts ≤ 62), so masking
-	// the counts with 63 changes no value and lets the compiler drop its
-	// shift guards. index()/tagHash() are the reference formulation of
-	// the same hashes.
+	// the fold sources, the path value and the scratch arrays live in
+	// locals so the loop bodies are pure ALU work, with no method calls.
+	// Direct tables come first (lengths strictly increase) and fold the
+	// recent window; packed tables read three packed words. The re-slices
+	// prove every per-table index in range (New caps the tables at 64).
+	// Every shift count is below 64 (pcShift ≤ 24, pathShift ≤ 7, fold
+	// shifts ≤ 62), so masking the counts with 63 changes no value and
+	// lets the compiler drop its shift guards. index()/tagHash() are the
+	// reference formulation of the same hashes.
 	plan := p.plan
-	words := p.eng.Words()
 	idxs := s.idx[:len(plan)]
 	tags := s.tag[:len(plan)]
 	pv := p.path
 	base := pc >> 2
+	direct := plan[:p.nDirect]
+	hashDirect(direct, p.eng.Recent(), pc, pv, idxs[:len(direct)], tags[:len(direct)])
+	packed := plan[len(direct):]
+	pIdxs, pTags := idxs[len(direct):], tags[len(direct):]
+	pIdxs, pTags = pIdxs[:len(packed)], pTags[:len(packed)]
+	words := p.eng.Words()
+	for i := range packed {
+		t := &packed[i]
+		h := base ^ (pc >> (t.pcShift & 63)) ^ (words[t.idxWord] >> (t.idxShift & 63)) ^ (pv >> (t.pathShift & 63))
+		pIdxs[i] = uint32(h & t.idxMask)
+		th := base ^ (words[t.tag1Word] >> (t.tag1Shift & 63)) ^ ((words[t.tag2Word] >> (t.tag2Shift & 63)) << 1)
+		pTags[i] = uint32(th) & t.tagMask
+	}
 	if !p.cfg.Infinite {
 		// Finite fast path: the candidate entry of every table is copied
-		// into the scratch during the fill loop, so the 21 random table
-		// loads issue back to back (memory-level parallelism) instead of
-		// serializing through the longest-match scan below.
+		// into the scratch first, so the 21 random table loads issue back
+		// to back (memory-level parallelism) instead of serializing
+		// through the longest-match scan below.
 		tables := p.tables[:len(plan)]
 		ents := s.ent[:len(plan)]
-		for i := range plan {
-			t := &plan[i]
-			h := base ^ (pc >> (t.pcShift & 63)) ^ (words[t.idxWord] >> (t.idxShift & 63)) ^ (pv >> (t.pathShift & 63))
-			idx := uint32(h & t.idxMask)
-			idxs[i] = idx
-			th := base ^ (words[t.tag1Word] >> (t.tag1Shift & 63)) ^ ((words[t.tag2Word] >> (t.tag2Shift & 63)) << 1)
-			tags[i] = uint32(th) & t.tagMask
+		for i, idx := range idxs {
 			ents[i] = tables[i][idx]
 		}
 		for i := len(plan) - 1; i >= 0; i-- {
@@ -356,13 +382,6 @@ func (p *Predictor) Predict(pc uint64) bool {
 			}
 		}
 	} else {
-		for i := range plan {
-			t := &plan[i]
-			h := base ^ (pc >> (t.pcShift & 63)) ^ (words[t.idxWord] >> (t.idxShift & 63)) ^ (pv >> (t.pathShift & 63))
-			idxs[i] = uint32(h & t.idxMask)
-			th := base ^ (words[t.tag1Word] >> (t.tag1Shift & 63)) ^ ((words[t.tag2Word] >> (t.tag2Shift & 63)) << 1)
-			tags[i] = uint32(th) & t.tagMask
-		}
 		for i := len(plan) - 1; i >= 0; i-- {
 			if e := p.lookup(i, pc, s.idx[i], s.tag[i]); e != nil {
 				if s.provider < 0 {
@@ -398,6 +417,49 @@ func (p *Predictor) Predict(pc uint64) bool {
 		s.finalTaken = s.predTaken
 	}
 	return s.finalTaken
+}
+
+// hashDirect fills the index and tag of every direct table from the
+// recent-history window, masked once to the table's length and folded at
+// its three widths. All three folds run the step count of the table's
+// narrowest one, one switch per table (a step a fold does not need is a
+// no-op, see history.Schedule). Every shift count is below 64 (schedule
+// counts ≤ 63, pcShift ≤ 24, pathShift ≤ 7), so masking the counts with
+// 63 changes no value and lets the compiler drop its shift guards. A
+// function of its own, so that the folds keep their state in registers
+// rather than competing with Predict's.
+func hashDirect(direct []tableHash, rec, pc, pv uint64, idxs, tags []uint32) {
+	idxs, tags = idxs[:len(direct)], tags[:len(direct)]
+	base := pc >> 2
+	for i := range direct {
+		t := &direct[i]
+		x := rec & t.window
+		fi, f1, f2 := x, x, x
+		// Log steps commute, so the cases run the table's steps from the
+		// last one down.
+		switch st := &t.sched; t.nSteps {
+		case 0:
+		case 3:
+			fi ^= fi >> (st[0][2] & 63)
+			f1 ^= f1 >> (st[1][2] & 63)
+			f2 ^= f2 >> (st[2][2] & 63)
+			fallthrough
+		case 2:
+			fi ^= fi >> (st[0][1] & 63)
+			f1 ^= f1 >> (st[1][1] & 63)
+			f2 ^= f2 >> (st[2][1] & 63)
+			fallthrough
+		case 1:
+			fi ^= fi >> (st[0][0] & 63)
+			f1 ^= f1 >> (st[1][0] & 63)
+			f2 ^= f2 >> (st[2][0] & 63)
+		default:
+			n := int(t.nSteps)
+			fi, f1, f2 = st[0].Fold(x, n), st[1].Fold(x, n), st[2].Fold(x, n)
+		}
+		idxs[i] = uint32((base ^ (pc >> (t.pcShift & 63)) ^ fi ^ (pv >> (t.pathShift & 63))) & t.idxMask)
+		tags[i] = uint32(base^f1^(f2<<1)) & t.tagMask
+	}
 }
 
 // providerEntry returns the scratch provider's entry, or nil.

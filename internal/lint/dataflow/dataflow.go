@@ -203,16 +203,17 @@ func (p *Program) ResolveCall(info *types.Info, call *ast.CallExpr) *Func {
 	return nil
 }
 
-// CalleeFunc resolves a call's static *types.Func target, if any.
+// CalleeFunc resolves a call's static *types.Func target, if any; a
+// generic function's instantiation resolves to its declaration.
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	}
 	return nil

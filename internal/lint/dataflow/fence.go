@@ -2,22 +2,25 @@ package dataflow
 
 // Epoch-fence analysis (the fencecheck analyzer's engine).
 //
-// The service's lease protocol (PR 6) says: a worker may mutate job
-// state only while it still owns the job's lease, and ownership is
-// proven by an epoch check — `claim` bumps jb.epoch and hands the value
-// to the dispatch path; every later mutation compares the held epoch
-// against the current one and bails if a revocation raced it. That rule
-// was convention; this engine proves it on the call graph.
+// The service's lease protocol says: a worker may mutate job or session
+// state only while it still owns the lease, and ownership is proven by
+// an epoch check — a claim moves the lease epoch and hands the value to
+// the dispatch path; every later mutation checks the held epoch against
+// the lease and bails if a revocation raced it. That rule was
+// convention; this engine proves it on the call graph.
 //
-// Types carrying lease-owned state are annotated //llbplint:leased.
-// A "write" is any assignment (or ++/--) whose target is rooted in a
-// value of a leased type. A write is *fenced* when it is dominated by
-// an epoch guard: either it sits inside an `if` whose condition reads
-// the leased type's epoch field, or it follows (in straight-line order)
-// an `if cond-reads-epoch { return/break/continue }` early-out. Two
-// kinds of function are exempt: fence constructors — functions that
-// themselves write the epoch field, i.e. the claim/revoke machinery —
-// and functions annotated //llbplint:fence with a reason.
+// Types carrying lease-owned state are annotated //llbplint:leased, the
+// ownership record itself (internal/lease.Lease) among them. A "write"
+// is any assignment (or ++/--) whose target is rooted in a value of a
+// leased type. A write is *fenced* when it is dominated by an epoch
+// guard: either it sits inside an `if` whose condition reads a leased
+// epoch field — directly, or through a guard method of a leased type,
+// one that reads its epoch and writes nothing (lease.Holds) — or it
+// follows (in straight-line order) an `if guard { return/break/
+// continue }` early-out. Exempt are functions annotated //llbplint:fence
+// with a reason and fence constructors, which move an epoch: they write
+// an epoch field (lease.Claim, lease.Revoke) or call such a method on a
+// lease embedded in a leased value (`jb.lease.Claim` in the job claim).
 //
 // Summaries carry each function's unfenced writes (own plus those
 // inherited through unguarded call sites, with the call chain recorded
@@ -46,10 +49,12 @@ type writeRec struct {
 }
 
 type fenceSummary struct {
-	// exempt marks fence constructors (functions writing the epoch
-	// field) and //llbplint:fence-annotated functions.
-	exempt    bool
-	unguarded []writeRec
+	// exempt marks fence constructors and //llbplint:fence-annotated
+	// functions; movesEpoch, fence constructors. readsEpoch: the body
+	// reads a leased epoch field; writes: it writes leased state, itself
+	// or through a callee.
+	exempt, movesEpoch, readsEpoch, writes bool
+	unguarded                              []writeRec
 }
 
 // FenceEngine proves the epoch-fence rule; Findings carries the
@@ -118,8 +123,12 @@ func (e *FenceEngine) summarize(fn *Func) *fenceSummary {
 		return sum
 	}
 	w := &fenceWalker{e: e, fn: fn, info: fn.Pkg.TypesInfo, sum: sum}
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		sum.readsEpoch = sum.readsEpoch || w.isEpoch(n)
+		return !sum.readsEpoch
+	})
 	w.stmts(fn.Decl.Body.List, false)
-	if sum.exempt { // wrote the epoch field somewhere: fence constructor
+	if sum.exempt { // moved an epoch somewhere: fence constructor
 		sum.unguarded = nil
 	}
 	return sum
@@ -158,6 +167,7 @@ func (w *fenceWalker) stmt(s ast.Stmt, guarded bool) bool {
 		if s.Init != nil {
 			guarded = w.stmt(s.Init, guarded)
 		}
+		w.expr(s.Cond, guarded)
 		epochCond := w.mentionsEpoch(s.Cond)
 		w.stmts(s.Body.List, guarded || epochCond)
 		if s.Else != nil {
@@ -242,16 +252,17 @@ func (w *fenceWalker) expr(e ast.Expr, guarded bool) {
 }
 
 func (w *fenceWalker) call(call *ast.CallExpr, guarded bool) {
-	if guarded {
-		return // epoch-dominated call: callee writes are fenced here
-	}
 	callee := CalleeFunc(w.info, call)
-	if callee == nil {
+	sum := w.e.sums[callee] // nil for calls without a static target
+	if sum == nil {
 		return
 	}
-	sum := w.e.sums[callee]
-	if sum == nil || sum.exempt {
-		return
+	w.sum.writes = w.sum.writes || sum.writes
+	if sum.movesEpoch && w.embeddedLeaseCall(call) { // jb.lease.Claim()
+		w.sum.movesEpoch, w.sum.exempt = true, true
+	}
+	if guarded || sum.exempt {
+		return // epoch-dominated call: callee writes are fenced here
 	}
 	for _, wr := range sum.unguarded {
 		w.sum.unguarded = append(w.sum.unguarded, writeRec{
@@ -272,8 +283,9 @@ func (w *fenceWalker) checkWrite(lhs ast.Expr, guarded bool) {
 	if tn == nil {
 		return
 	}
+	w.sum.writes = true
 	if field == epochField {
-		w.sum.exempt = true
+		w.sum.movesEpoch, w.sum.exempt = true, true
 		return
 	}
 	if guarded {
@@ -326,18 +338,42 @@ func (w *fenceWalker) leasedTypeOf(e ast.Expr) *types.TypeName {
 }
 
 // mentionsEpoch reports whether a condition reads the epoch field of a
-// leased type — the shape of every guard in the lease protocol.
+// leased type, directly or through a guard method (lease.Holds) — the
+// shape of every guard in the lease protocol.
 func (w *fenceWalker) mentionsEpoch(cond ast.Expr) bool {
 	found := false
 	ast.Inspect(cond, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == epochField {
-			if w.leasedTypeOf(sel.X) != nil {
-				found = true
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			found = w.isEpoch(n)
+		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && w.leasedTypeOf(sel.X) != nil {
+				callee := CalleeFunc(w.info, n)
+				if sum := w.e.sums[callee]; sum != nil && sum.readsEpoch && !sum.writes {
+					found = true
+				}
 			}
 		}
 		return !found
 	})
 	return found
+}
+
+// isEpoch reports whether n selects the epoch field of a leased value.
+func (w *fenceWalker) isEpoch(n ast.Node) bool {
+	sel, ok := n.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == epochField && w.leasedTypeOf(sel.X) != nil
+}
+
+// embeddedLeaseCall reports whether call invokes a method of a leased
+// value that is itself a field of a leased value.
+func (w *fenceWalker) embeddedLeaseCall(call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || w.leasedTypeOf(sel.X) == nil {
+		return false
+	}
+	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	return ok && w.leasedTypeOf(field.X) != nil
 }
 
 // terminates reports whether a block always transfers control out

@@ -4,7 +4,10 @@
 // show the two fenced shapes (early-out guard, write inside the epoch
 // condition); touch and Progress are the violations — writes with no
 // fence, reachable from a worker goroutine and a worker-annotated
-// handler respectively.
+// handler respectively. sessionState holds its epoch in record, the
+// lease primitive: its claim and close construct fences through the
+// primitive, apply writes under the primitive's guard, and leak writes
+// without it.
 package lease
 
 import "sync"
@@ -81,4 +84,87 @@ func Serve(j *jobState) {
 //llbplint:worker -- invoked by remote workers via the progress endpoint
 func Progress(j *jobState, n int) {
 	j.cells = n // want fencecheck:`unfenced write to lease-owned jobState\.cells`
+}
+
+// record is the lease primitive: the epoch lives here, and the owner
+// embeds it.
+//
+//llbplint:leased -- the ownership record: writes move the epoch or are fenced on it
+type record struct {
+	epoch uint64
+	held  bool
+}
+
+// take and end move the epoch: fence constructors by definition.
+func (r *record) take() uint64 {
+	r.epoch++
+	r.held = true
+	return r.epoch
+}
+
+func (r *record) end() {
+	r.epoch++
+	r.held = false
+}
+
+// holds is the primitive's guard: it reads the epoch.
+func (r *record) holds(epoch uint64) bool { return r.held && r.epoch == epoch }
+
+// sessionState keeps its epoch in the primitive.
+//
+//llbplint:leased -- mutated only while holding the record's epoch
+type sessionState struct {
+	mu     sync.Mutex
+	lease  record
+	frames int
+}
+
+// claim takes the lease through the primitive, which makes it a fence
+// constructor like jobState.claim.
+func (s *sessionState) claim() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	epoch := s.lease.take()
+	s.frames = 0
+	return epoch
+}
+
+// close ends the lease through the primitive: a fence constructor too.
+func (s *sessionState) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lease.end()
+	s.frames = -1
+}
+
+// apply writes under the primitive's guard: a call to a method of the
+// leased record that reads its epoch.
+func (s *sessionState) apply(epoch uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.lease.holds(epoch) {
+		return false
+	}
+	s.frames++
+	return true
+}
+
+// leak writes with no guard at all, primitive or not.
+func (s *sessionState) leak(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.frames = n // want fencecheck:`unfenced write to lease-owned sessionState\.frames`
+}
+
+// Push stands in for a push connection: a worker root that claims,
+// applies under the guard (from an if condition, whose calls are
+// walked), leaks, and closes.
+//
+//llbplint:worker -- executes on behalf of the remote client holding the claim
+func Push(s *sessionState) {
+	epoch := s.claim()
+	if s.apply(epoch) {
+		s.leak(2)
+	}
+	s.close()
 }

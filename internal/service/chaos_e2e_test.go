@@ -8,6 +8,7 @@ package service_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,6 +32,40 @@ func startChaosDaemon(t *testing.T, dir string, workers int, inj *chaos.Injector
 	})
 	d.srv.Start()
 	return d
+}
+
+// manualClock is a wall clock that moves only when the test advances
+// it. Injected as Options.Now, it makes a lease expire exactly when the
+// test says, never because the host ran slow.
+type manualClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newManualClock() *manualClock { return &manualClock{t: time.Unix(1_700_000_000, 0)} }
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *manualClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// waitUntil polls cond until it holds, failing the test after 30 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // counter reads one service counter from the daemon's registry.
@@ -84,12 +119,15 @@ func assertByteIdentical(t *testing.T, cells []experiments.CellSpec, got map[str
 // TestChaosWorkerPanicRecovers kills the worker (injected panic) at its
 // first cell pickup: the panic is contained, the abandoned lease is
 // reclaimed, and the re-dispatched job completes with results
-// byte-identical to a clean run — no cell evented twice.
+// byte-identical to a clean run — no cell evented twice. Lease time is
+// the test's: the clock moves once, after the panic, so only the
+// abandoned lease can expire however slowly the re-dispatch runs.
 func TestChaosWorkerPanicRecovers(t *testing.T) {
 	cells := e2eCells()
 	ref := localReference(t, cells)
 	inj := chaos.New(chaos.Rule{Hook: chaos.WorkerPanic, At: 1})
-	d := startChaosDaemon(t, t.TempDir(), 1, inj, nil)
+	clock := newManualClock()
+	d := startChaosDaemon(t, t.TempDir(), 1, inj, func(o *service.Options) { o.Now = clock.Now })
 	defer d.stop(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -98,6 +136,8 @@ func TestChaosWorkerPanicRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitUntil(t, "the worker panic", func() bool { return d.counter("service_worker_panics") == 1 })
+	clock.Advance(time.Minute) // past the 300 ms TTL, once
 	got, events := collectStream(t, ctx, d, st.ID)
 	assertByteIdentical(t, cells, got, ref)
 	if events != len(cells) {
@@ -113,12 +153,14 @@ func TestChaosWorkerPanicRecovers(t *testing.T) {
 
 // TestChaosWorkerStallReclaimed wedges the worker (injected stall) at
 // cell pickup: it holds the lease without progress until the supervisor
-// revokes it, then the re-dispatch completes byte-identically.
+// revokes it, then the re-dispatch completes byte-identically. As in
+// the panic test, the clock moves once, after the stall.
 func TestChaosWorkerStallReclaimed(t *testing.T) {
 	cells := e2eCells()
 	ref := localReference(t, cells)
 	inj := chaos.New(chaos.Rule{Hook: chaos.WorkerStall, At: 1})
-	d := startChaosDaemon(t, t.TempDir(), 1, inj, nil)
+	clock := newManualClock()
+	d := startChaosDaemon(t, t.TempDir(), 1, inj, func(o *service.Options) { o.Now = clock.Now })
 	defer d.stop(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -127,6 +169,8 @@ func TestChaosWorkerStallReclaimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitUntil(t, "the worker stall", func() bool { return inj.Count(chaos.WorkerStall) >= 1 })
+	clock.Advance(time.Minute) // past the 300 ms TTL, once
 	got, events := collectStream(t, ctx, d, st.ID)
 	assertByteIdentical(t, cells, got, ref)
 	if events != len(cells) {
@@ -276,25 +320,42 @@ func TestChaosHeartbeatDelay(t *testing.T) {
 	// reclaimed; once the budget is spent, progress ticks renew the lease
 	// again and the job converges. (An infinite budget would model a
 	// permanently partitioned worker — every dispatch reclaimed forever.)
-	//
-	// Sizing: progress ticks arrive every 4096 branches — ~5ms at native
-	// speed, ~60ms under -race. The TTL must exceed several race-slowed
-	// ticks (or renewals can't keep any lease alive and no dispatch ever
-	// finishes), while the budget must span at least TTL+supervisor-lag
-	// worth of native-speed ticks (or suppression ends before the first
-	// lease can age out). 200ms / 120 ticks satisfies both with margin.
 	var rules []chaos.Rule
 	for i := uint64(1); i <= 120; i++ {
 		rules = append(rules, chaos.Rule{Hook: chaos.HeartbeatSkip, At: i})
 	}
 	inj := chaos.New(rules...)
+	clock := newManualClock()
 	d := startChaosDaemon(t, t.TempDir(), 1, inj, func(o *service.Options) {
 		o.LeaseTTL = 200 * time.Millisecond
 		o.SupervisorInterval = 40 * time.Millisecond
+		o.Now = clock.Now
 	})
 	defer d.stop(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
+
+	// Lease time follows simulation progress, not the host's speed: each
+	// poll that sees new progress ticks (every tick consults the
+	// heartbeat.skip site) moves the clock 50 ms. Four suppressed ticks
+	// then age a lease past its 200 ms TTL, and once the budget is spent
+	// every renewal lands before the clock can pass the TTL.
+	ticking := make(chan struct{})
+	defer close(ticking)
+	go func() {
+		var seen uint64
+		for {
+			select {
+			case <-ticking:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if n := inj.Count(chaos.HeartbeatSkip); n > seen {
+				seen = n
+				clock.Advance(50 * time.Millisecond)
+			}
+		}
+	}()
 
 	st, err := d.cl.Submit(ctx, service.JobRequest{Schema: service.JobSchema, Cells: cells})
 	if err != nil {

@@ -3,18 +3,12 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 
-	"llbp/internal/chaos"
+	"llbp/internal/follow"
 	"llbp/internal/telemetry"
 )
-
-// errorBody is the JSON error envelope of every non-2xx response.
-type errorBody struct {
-	Error string `json:"error"`
-}
 
 // Handler returns the service's HTTP API (see the package comment for
 // the endpoint table). It is safe to install on any mux or server.
@@ -32,166 +26,66 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-//llbplint:sink -- wire responses are asserted byte-for-byte in the e2e suite; payloads must not depend on iteration or arrival order
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	// Encoding a value we marshaled ourselves cannot fail in a way the
-	// client can still be told about; ignore the error.
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
+		follow.WriteError(w, http.StatusBadRequest, "decoding job request: %v", err)
 		return
 	}
 	st, created, err := s.Submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantQuota):
 		w.Header().Set("Retry-After", strconv.Itoa(s.opt.RetryAfterSeconds))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		follow.WriteError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		follow.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		follow.WriteError(w, http.StatusBadRequest, "%v", err)
 	case created:
-		writeJSON(w, http.StatusAccepted, st)
+		follow.WriteJSON(w, http.StatusAccepted, st)
 	default:
-		writeJSON(w, http.StatusOK, st)
+		follow.WriteJSON(w, http.StatusOK, st)
 	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
+	follow.WriteJSON(w, http.StatusOK, s.Jobs())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.Job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %s", id)
+		follow.WriteError(w, http.StatusNotFound, "no job %s", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	follow.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.Cancel(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %s", id)
+		follow.WriteError(w, http.StatusNotFound, "no job %s", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	follow.WriteJSON(w, http.StatusOK, st)
 }
 
-// handleResults streams the job's events as JSON lines. Without
-// ?follow=1 it replays what exists and returns; with it, the stream
-// stays open — interleaving persisted "cell" events with live
-// "progress" snapshots — until the job reaches a terminal state (the
-// "done" line) or the client disconnects.
-//
-// ?from=N resumes an interrupted stream: persisted events with Seq <= N
-// are skipped, so a client that journaled sequence N reconnects without
-// re-receiving (or missing) anything.
-//
-// Each write carries Options.StreamWriteTimeout as its deadline when
-// configured: a client too slow to absorb the stream is disconnected
-// rather than allowed to wedge a handler goroutine — its job keeps
-// running and the persisted events replay on reconnect.
+// handleResults streams the job's events as JSON lines (follow.Follower):
+// persisted "cell" and "done" events, interleaved with live "progress"
+// snapshots under ?follow=1. A client too slow for StreamWriteTimeout is
+// dropped; its job keeps running and it resumes with ?from=N.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	jb, ok := s.jobs[id]
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %s", id)
+		follow.WriteError(w, http.StatusNotFound, "no job %s", id)
 		return
 	}
-	follow := r.URL.Query().Get("follow") == "1"
-	pos := 0
-	if from := r.URL.Query().Get("from"); from != "" {
-		n, err := strconv.Atoi(from)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad from=%q: want a non-negative event sequence", from)
-			return
-		}
-		pos = n // Seq is 1-based position, so "after seq N" = index N
-		if pos > 0 {
-			// A resuming client: record how far behind the persisted
-			// stream it reconnected.
-			s.tel.resumes.Inc()
-			gap := jb.eventsLen() - pos
-			if gap < 0 {
-				gap = 0
-			}
-			s.tel.resumeGap.Observe(float64(gap))
-		}
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	write := func(ev StreamEvent) error {
-		if s.opt.Chaos.Fire(chaos.StreamDrop) {
-			s.tel.chaosDrops.Inc()
-			s.logf("job %s: chaos severed results stream", id)
-			//llbplint:allow nopanic -- chaos injection: http.ErrAbortHandler is the stdlib contract for aborting a response mid-stream
-			panic(http.ErrAbortHandler)
-		}
-		if s.opt.StreamWriteTimeout > 0 {
-			_ = rc.SetWriteDeadline(s.now().Add(s.opt.StreamWriteTimeout))
-		}
-		err := enc.Encode(ev)
-		if err != nil && s.opt.StreamWriteTimeout > 0 {
-			s.tel.slowClients.Inc()
-			s.logf("job %s: dropping stream client: %v", id, err)
-		}
-		return err
-	}
-
-	var lastProg uint64
-	for {
-		evs, prog, progSeq, terminal, pulse := jb.snapshot(pos)
-		pos += len(evs)
-		for _, ev := range evs {
-			if err := write(ev); err != nil {
-				return // client gone or too slow
-			}
-		}
-		if follow && !terminal && progSeq != lastProg {
-			lastProg = progSeq
-			if err := write(prog); err != nil {
-				return
-			}
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if terminal && len(evs) == 0 {
-			return // full replay delivered, including the "done" line
-		}
-		if !follow && len(evs) == 0 {
-			return // snapshot mode: dumped what exists
-		}
-		if terminal || !follow {
-			continue // loop once more to drain any events added meanwhile
-		}
-		select {
-		case <-pulse:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.results.Serve(w, r, "job "+id, jb.snapshot)
 }
 
 // handleMetricsProm serves the telemetry registry in Prometheus text
@@ -199,7 +93,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 // /metrics.json.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	if s.opt.Registry == nil {
-		writeError(w, http.StatusNotFound, "telemetry disabled (no registry configured)")
+		follow.WriteError(w, http.StatusNotFound, "telemetry disabled (no registry configured)")
 		return
 	}
 	w.Header().Set("Content-Type", telemetry.PromContentType)
@@ -212,7 +106,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 // cmd/telemetrycheck validates in CI.
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	if s.opt.Registry == nil {
-		writeError(w, http.StatusNotFound, "telemetry disabled (no registry configured)")
+		follow.WriteError(w, http.StatusNotFound, "telemetry disabled (no registry configured)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -225,7 +119,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 // handleDebugJobs dumps every job's runtime diagnostics (lease owner,
 // epoch, expiry) — the operator's view behind llbpctl top.
 func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.DebugJobs())
+	follow.WriteJSON(w, http.StatusOK, s.DebugJobs())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -234,5 +128,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if h.Draining {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	follow.WriteJSON(w, code, h)
 }

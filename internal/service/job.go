@@ -168,3 +168,9 @@ type StreamEvent struct {
 	Completed int   `json:"completed,omitempty"`
 	Failed    int   `json:"failed,omitempty"`
 }
+
+// WithSeq returns ev numbered as persisted event seq (follow.Entry).
+func (ev StreamEvent) WithSeq(seq uint64) StreamEvent {
+	ev.Seq = seq
+	return ev
+}

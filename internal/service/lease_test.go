@@ -280,6 +280,90 @@ func TestHeartbeatRenewalAndChaosSkip(t *testing.T) {
 	})
 }
 
+// stubbornRunner is stubRunner with a cell that ignores cancellation:
+// it keeps simulating until released, the way a harness cell that a
+// revoked dispatch joined keeps running after its lease is gone.
+type stubbornRunner struct {
+	started chan string
+	release chan struct{}
+}
+
+func (r *stubbornRunner) RunCell(ctx context.Context, spec experiments.CellSpec) (*experiments.RunOutput, error) {
+	r.started <- spec.Key()
+	<-r.release
+	return &experiments.RunOutput{}, ctx.Err()
+}
+
+// debugJob returns one job's /debug/jobs entry.
+func debugJob(t *testing.T, s *Server, id string) DebugJob {
+	t.Helper()
+	for _, d := range s.DebugJobs() {
+		if d.ID == id {
+			return d
+		}
+	}
+	t.Fatalf("job %s missing from DebugJobs", id)
+	return DebugJob{}
+}
+
+// TestCellProgressFencedOnDispatchEpoch: progress from a superseded
+// dispatch that is still simulating its cell must neither renew the
+// successor's lease nor publish progress in its name. Dispatch A claims
+// the job and starts the cell, its lease expires and is reaped, B claims
+// the job, and then A's cell reports progress.
+func TestCellProgressFencedOnDispatchEpoch(t *testing.T) {
+	clock := newFakeClock()
+	stub := &stubbornRunner{started: make(chan string, 1), release: make(chan struct{})}
+	s, err := New(Options{
+		Runner:             stub,
+		Workers:            1,
+		LeaseTTL:           time.Minute,
+		SupervisorInterval: time.Hour, // the test reaps itself
+		Now:                clock.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Kill()
+	defer close(stub.release) // before Kill: the stuck worker must return
+
+	cell := testCell(1)
+	st, _, err := s.Submit(JobRequest{Schema: JobSchema, Cells: []experiments.CellSpec{cell}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stub.started: // dispatch A is simulating the cell
+	case <-time.After(10 * time.Second):
+		t.Fatal("no cell started before the deadline")
+	}
+	clock.Advance(2 * time.Minute)
+	s.reapLeases()
+	s.mu.Lock()
+	jb := s.jobs[st.ID]
+	s.mu.Unlock()
+	if _, _, ok := jb.claim("B", clock.Now(), time.Minute); !ok {
+		t.Fatal("B could not claim the reaped job")
+	}
+	before := debugJob(t, s, st.ID)
+	_, _, progBefore, _, _ := jb.snapshot(0)
+
+	clock.Advance(50 * time.Second)
+	s.CellProgress(cell.Key(), progressStride, 2*progressStride)
+
+	after := debugJob(t, s, st.ID)
+	if after.Worker != "B" || after.Epoch != before.Epoch {
+		t.Fatalf("lease moved from %s@%d to %s@%d", before.Worker, before.Epoch, after.Worker, after.Epoch)
+	}
+	if moved := after.LeaseExpiresUnixMS - before.LeaseExpiresUnixMS; moved != 0 {
+		t.Errorf("superseded dispatch's progress moved B's lease deadline by %d ms", moved)
+	}
+	if _, _, progAfter, _, _ := jb.snapshot(0); progAfter != progBefore {
+		t.Errorf("superseded dispatch published progress: sequence %d -> %d", progBefore, progAfter)
+	}
+}
+
 // TestPriorityLanes holds the single worker on a gate job, queues a
 // normal job then a high-priority one, and checks the worker drains the
 // high lane first once freed.

@@ -17,23 +17,8 @@ import (
 // event emits one lifecycle record. All fields beyond typ/id/tenant are
 // optional; zero values are omitted from the NDJSON line.
 func (s *Server) event(typ, id, tenant, worker string, epoch uint64, detail string) {
-	if s.opt.Events == nil {
-		return
-	}
 	s.opt.Events.Emit(telemetry.Event{
 		Type: typ, Job: id, Tenant: tenant, Worker: worker, Epoch: epoch, Detail: detail,
-	})
-}
-
-// eventCompleted emits the terminal record with state and duration.
-func (s *Server) eventCompleted(jb *job, worker string, epoch uint64, final State, dur time.Duration) {
-	if s.opt.Events == nil {
-		return
-	}
-	s.opt.Events.Emit(telemetry.Event{
-		Type: telemetry.EventJobCompleted, Job: jb.id, Tenant: jb.req.Tenant,
-		Worker: worker, Epoch: epoch, State: string(final),
-		DurationMS: durMS(dur),
 	})
 }
 
@@ -82,23 +67,16 @@ type HealthStatus struct {
 func (s *Server) Health() HealthStatus {
 	now := s.now()
 	h := HealthStatus{Status: "ok", Draining: s.Draining(), Workers: s.opt.Workers}
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, jb := range s.jobs {
-		jobs = append(jobs, jb)
-	}
-	s.mu.Unlock()
+	jobs := s.allJobs()
 	h.Jobs = len(jobs)
 	for _, jb := range jobs {
-		jb.mu.Lock()
-		state, owner, expires := jb.state, jb.lease.owner, jb.lease.expires
-		jb.mu.Unlock()
+		state, l, _ := jb.view()
 		switch state {
 		case StateQueued:
 			h.Queued++
 		case StateRunning:
 			h.Running++
-			if owner != "" && now.After(expires) {
+			if l.Expired(now) {
 				h.ExpiredLeases++
 			}
 		}
@@ -134,22 +112,15 @@ type DebugJob struct {
 // DebugJobs snapshots every job's runtime diagnostics, sorted by ID.
 func (s *Server) DebugJobs() []DebugJob {
 	now := s.now()
-	statuses := s.Jobs() // sorted by ID
-	out := make([]DebugJob, 0, len(statuses))
-	for _, st := range statuses {
-		s.mu.Lock()
-		jb := s.jobs[st.ID]
-		s.mu.Unlock()
-		if jb == nil {
-			continue
-		}
-		d := DebugJob{JobStatus: st, Events: jb.eventsLen()}
-		owner, epoch, expires := jb.leaseInfo()
-		d.Worker, d.Epoch = owner, epoch
-		if owner != "" {
-			d.LeaseExpiresUnixMS = expires.UnixMilli()
-			d.LeaseRemainingMS = expires.Sub(now).Milliseconds()
-			d.LeaseExpired = now.After(expires)
+	jobs := s.allJobs()
+	out := make([]DebugJob, 0, len(jobs))
+	for _, jb := range jobs {
+		_, l, events := jb.view()
+		d := DebugJob{JobStatus: jb.status(), Worker: l.Owner(), Epoch: l.Epoch(), Events: events}
+		if l.Held() {
+			d.LeaseExpiresUnixMS = l.Deadline().UnixMilli()
+			d.LeaseRemainingMS = l.Deadline().Sub(now).Milliseconds()
+			d.LeaseExpired = l.Expired(now)
 		}
 		out = append(out, d)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"llbp/internal/chaos"
 	"llbp/internal/experiments"
+	"llbp/internal/follow"
 	"llbp/internal/harness"
 	"llbp/internal/telemetry"
 )
@@ -116,11 +117,19 @@ type Server struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*job
-	tenants map[string]int    // tenant → active (non-terminal) job count
-	running map[string][]*job // cell key → jobs streaming that cell
+	tenants map[string]int        // tenant → active (non-terminal) job count
+	running map[string][]dispatch // cell key → dispatches simulating that cell
 
-	jobLog *harness.Journal
-	tel    serviceTel
+	jobLog  *harness.Journal
+	tel     serviceTel
+	results follow.Follower[StreamEvent]
+}
+
+// dispatch is one worker dispatch of a job: the job plus the epoch its
+// claim returned, which fences every write the dispatch makes.
+type dispatch struct {
+	jb    *job
+	epoch uint64
 }
 
 // serviceTel bundles the server's nil-safe instruments.
@@ -138,17 +147,13 @@ type serviceTel struct {
 	reclaimed   *telemetry.Counter
 	requeued    *telemetry.Counter
 	epochFences *telemetry.Counter
-	resumes     *telemetry.Counter
 	workerPanic *telemetry.Counter
-	slowClients *telemetry.Counter
-	chaosDrops  *telemetry.Counter
 	queueDepth  *telemetry.Gauge
 	running     *telemetry.Gauge
 	staleness   *telemetry.Gauge
 	claimLat    *telemetry.Histogram
 	jobDur      *telemetry.Histogram
 	cellDur     *telemetry.Histogram
-	resumeGap   *telemetry.Histogram
 	submitDepth *telemetry.Histogram
 }
 
@@ -193,7 +198,7 @@ func New(opt Options) (*Server, error) {
 		drainCh:  make(chan struct{}),
 		jobs:     make(map[string]*job),
 		tenants:  make(map[string]int),
-		running:  make(map[string][]*job),
+		running:  make(map[string][]dispatch),
 	}
 	reg := opt.Registry
 	s.tel = serviceTel{
@@ -210,18 +215,21 @@ func New(opt Options) (*Server, error) {
 		reclaimed:   reg.Counter("service_leases_reclaimed"),
 		requeued:    reg.Counter("service_jobs_requeued"),
 		epochFences: reg.Counter("service_epoch_fences"),
-		resumes:     reg.Counter("service_stream_resumes"),
 		workerPanic: reg.Counter("service_worker_panics"),
-		slowClients: reg.Counter("service_streams_slow_client"),
-		chaosDrops:  reg.Counter("service_streams_chaos_dropped"),
 		queueDepth:  reg.Gauge("service_queue_depth"),
 		running:     reg.Gauge("service_jobs_running"),
 		staleness:   reg.Gauge("service_heartbeat_staleness_ms"),
 		claimLat:    reg.Histogram("service_claim_latency_ms", telemetry.ExponentialBuckets(1, 4, 8)),
 		jobDur:      reg.Histogram("service_job_duration_ms", telemetry.ExponentialBuckets(1, 4, 10)),
 		cellDur:     reg.Histogram("service_cell_duration_ms", telemetry.ExponentialBuckets(1, 4, 10)),
-		resumeGap:   reg.Histogram("service_stream_resume_gap_events", telemetry.ExponentialBuckets(1, 2, 8)),
 		submitDepth: reg.Histogram("service_submit_queue_depth", telemetry.LinearBuckets(0, 4, 9)),
+	}
+	s.results = follow.Follower[StreamEvent]{
+		Unit: "event", WriteTimeout: opt.StreamWriteTimeout, Now: opt.Now, Chaos: opt.Chaos, Logf: opt.Logf,
+		Resumes:     reg.Counter("service_stream_resumes"),
+		ResumeGap:   reg.Histogram("service_stream_resume_gap_events", telemetry.ExponentialBuckets(1, 2, 8)),
+		SlowClients: reg.Counter("service_streams_slow_client"),
+		ChaosDrops:  reg.Counter("service_streams_chaos_dropped"),
 	}
 
 	var resumable []*job
@@ -400,6 +408,16 @@ func (s *Server) Job(id string) (JobStatus, bool) {
 
 // Jobs lists every known job's status, sorted by ID.
 func (s *Server) Jobs() []JobStatus {
+	jobs := s.allJobs()
+	out := make([]JobStatus, len(jobs))
+	for i, jb := range jobs {
+		out[i] = jb.status()
+	}
+	return out
+}
+
+// allJobs returns every known job, sorted by ID.
+func (s *Server) allJobs() []*job {
 	s.mu.Lock()
 	jobs := make([]*job, 0, len(s.jobs))
 	for _, jb := range s.jobs {
@@ -407,11 +425,7 @@ func (s *Server) Jobs() []JobStatus {
 	}
 	s.mu.Unlock()
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].id < jobs[k].id })
-	out := make([]JobStatus, len(jobs))
-	for i, jb := range jobs {
-		out[i] = jb.status()
-	}
-	return out
+	return jobs
 }
 
 // Cancel cancels a job. Queued jobs finish immediately as cancelled;
@@ -430,10 +444,7 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 		jb.cancel()
 		// A queued job has no worker to finalize it; do it here. The
 		// worker skips terminal jobs when it dequeues them.
-		jb.mu.Lock()
-		queued := jb.state == StateQueued
-		jb.mu.Unlock()
-		if queued {
+		if state, _, _ := jb.view(); state == StateQueued {
 			jb.finish(StateCancelled)
 			s.releaseTenant(jb)
 			s.tel.cancelled.Inc()
@@ -447,23 +458,23 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 }
 
 // CellProgress routes a harness progress callback (experiments
-// Config.CellProgress) to every job currently running that cell, as
+// Config.CellProgress) to every dispatch currently running that cell, as
 // throttled "progress" stream events. Each delivery also heartbeats the
-// job's lease — a worker making simulation progress keeps ownership —
-// unless the chaos harness suppresses the renewal (HeartbeatSkip).
+// dispatch's lease — a worker making simulation progress keeps
+// ownership — unless the chaos harness suppresses the renewal
+// (HeartbeatSkip). Both are fenced on the epoch of the dispatch that
+// started the cell, so a superseded dispatch still simulating neither
+// renews its successor's lease nor publishes progress in its name.
 //
 //llbplint:worker -- harness progress callback; runs on worker goroutines mid-simulation
 func (s *Server) CellProgress(key string, processed, total uint64) {
 	s.mu.Lock()
-	jobs := append([]*job(nil), s.running[key]...)
+	running := append([]dispatch(nil), s.running[key]...)
 	s.mu.Unlock()
-	for _, jb := range jobs {
-		jb.mu.Lock()
-		epoch := jb.epoch
-		jb.mu.Unlock()
-		jb.setProgress(epoch, key, cellIndex(jb.req.Cells, key), processed, total)
+	for _, d := range running {
+		d.jb.setProgress(d.epoch, key, cellIndex(d.jb.req.Cells, key), processed, total)
 		if !s.opt.Chaos.Fire(chaos.HeartbeatSkip) {
-			jb.heartbeat(epoch, s.now(), s.opt.LeaseTTL)
+			d.jb.heartbeat(d.epoch, s.now(), s.opt.LeaseTTL)
 		}
 	}
 }
@@ -527,7 +538,7 @@ func (s *Server) worker(tid int, name string) {
 		if !ok {
 			continue // raced with cancel or a live lease
 		}
-		if submitted, _ := jb.times(); !submitted.IsZero() {
+		if submitted := jb.submitted(); !submitted.IsZero() {
 			s.tel.claimLat.Observe(durMS(now.Sub(submitted)))
 		}
 		// The job a worker dequeues depends on goroutine scheduling, so
@@ -615,9 +626,9 @@ func (s *Server) runJob(jb *job, name string, tid int, epoch uint64, runCtx cont
 			cellT0 = s.opt.Tracer.Since()
 		}
 		cellStart := s.now()
-		s.trackCell(key, jb)
+		s.trackCell(key, dispatch{jb, epoch})
 		out, err := s.runCellFenced(runCtx, cell)
-		s.untrackCell(key, jb)
+		s.untrackCell(key, dispatch{jb, epoch})
 		s.tel.cellDur.Observe(durMS(s.now().Sub(cellStart)))
 		s.span(tid, "cell "+key, cellT0, map[string]any{"job": jb.id, "index": i})
 		if jb.heartbeat(epoch, s.now(), s.opt.LeaseTTL) {
@@ -693,12 +704,13 @@ func (s *Server) runJob(jb *job, name string, tid int, epoch uint64, runCtx cont
 	if err := s.logJob(jb); err != nil {
 		s.logf("job %s: logging finish: %v", jb.id, err)
 	}
-	submitted, _ := jb.times()
+	submitted := jb.submitted()
 	dur := s.now().Sub(submitted)
 	if !submitted.IsZero() {
 		s.tel.jobDur.Observe(durMS(dur))
 	}
-	s.eventCompleted(jb, name, epoch, final, dur)
+	s.opt.Events.Emit(telemetry.Event{Type: telemetry.EventJobCompleted, Job: jb.id, Tenant: jb.req.Tenant,
+		Worker: name, Epoch: epoch, State: string(final), DurationMS: durMS(dur)})
 	s.span(tid, "job "+jb.id, jobT0, map[string]any{
 		"state": string(final), "completed": st.Completed, "failed": st.Failed,
 	})
@@ -727,13 +739,7 @@ func (s *Server) supervisor() {
 // is the supervisor's tick body, exposed to tests driving a fake clock.
 func (s *Server) reapLeases() {
 	now := s.now()
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, jb := range s.jobs {
-		jobs = append(jobs, jb)
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].id < jobs[k].id })
+	jobs := s.allJobs()
 	// maxStale tracks the oldest last-heartbeat age across still-owned
 	// leases — the worker-liveness gauge. A lease expiring at E under TTL T
 	// was last renewed at E-T, so its staleness is now-(E-T).
@@ -755,8 +761,8 @@ func (s *Server) reapLeases() {
 			s.event(telemetry.EventJobRequeued, jb.id, jb.req.Tenant, owner, 0, "lease_expired")
 			continue
 		}
-		if liveOwner, _, expires := jb.leaseInfo(); liveOwner != "" {
-			if stale := now.Sub(expires.Add(-s.opt.LeaseTTL)); stale > maxStale {
+		if _, l, _ := jb.view(); l.Held() {
+			if stale := now.Sub(l.Deadline().Add(-s.opt.LeaseTTL)); stale > maxStale {
 				maxStale = stale
 			}
 		}
@@ -775,18 +781,18 @@ func (s *Server) countRunning() int {
 	return n
 }
 
-func (s *Server) trackCell(key string, jb *job) {
+func (s *Server) trackCell(key string, d dispatch) {
 	s.mu.Lock()
-	s.running[key] = append(s.running[key], jb)
+	s.running[key] = append(s.running[key], d)
 	s.mu.Unlock()
 }
 
-func (s *Server) untrackCell(key string, jb *job) {
+func (s *Server) untrackCell(key string, d dispatch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	list := s.running[key]
 	for i, other := range list {
-		if other == jb {
+		if other == d {
 			list = append(list[:i], list[i+1:]...)
 			break
 		}
@@ -804,12 +810,9 @@ func (s *Server) logJob(jb *job) error {
 		return nil
 	}
 	st := jb.status()
-	jb.mu.Lock()
-	state := jb.state
-	jb.mu.Unlock()
 	return s.jobLog.Record(jb.id, loggedJob{
 		Req:       jb.req,
-		State:     state,
+		State:     st.State,
 		Completed: st.Completed,
 		Failed:    st.Failed,
 	})

@@ -15,8 +15,8 @@ import (
 var ErrFenced = fmt.Errorf("session: claim fenced (superseded by a newer epoch)")
 
 // Claim is one push connection's ownership of a session: the epoch it
-// claimed at plus the revoke channel closed when a newer claim
-// supersedes it. All batch application goes through the claim so every
+// claimed the session's lease at plus the revoke channel closed when the
+// claim ends. All batch application goes through the claim so every
 // write is epoch-fenced.
 type Claim struct {
 	m     *Manager
@@ -30,8 +30,8 @@ type Claim struct {
 
 // Claim takes ownership of a session for a push connection. A live,
 // unexpired claim by another owner is a conflict; an expired or drained
-// lease is taken over, bumping the epoch and closing the previous
-// claim's revoke channel — the drain-migration handshake.
+// lease is taken over, ending the previous claim and closing its revoke
+// channel — the drain-migration handshake.
 func (m *Manager) Claim(ctx context.Context, id, owner string) (*Claim, error) {
 	s, err := m.lookup(ctx, id)
 	if err != nil {
@@ -43,23 +43,18 @@ func (m *Manager) Claim(ctx context.Context, id, owner string) (*Claim, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("session: %s is closed", id)
 	}
-	if s.lease.revoke != nil {
-		if s.state != StateDraining && now.Before(s.lease.expires) {
-			prev := s.lease.owner
-			s.mu.Unlock()
-			return nil, fmt.Errorf("session: %s is claimed by %s (lease live)", id, prev)
-		}
-		// Expired or draining: fence the previous claim.
-		close(s.lease.revoke)
-		detail := "lease expired"
-		if s.state == StateDraining {
-			detail = "drain"
-		}
-		m.tel.fenced.Inc()
-		m.event(telemetry.Event{Type: telemetry.EventSessionFenced, Job: id,
-			Worker: s.lease.owner, Epoch: s.epoch, Detail: detail})
+	draining := s.state == StateDraining
+	prev, prevEpoch, takeover := s.lease.Owner(), s.lease.Epoch(), s.lease.Held()
+	if draining {
+		// A drained claim hands over before its deadline.
+		s.lease.Revoke()
 	}
-	if s.state == StateDraining {
+	epoch, hold, ok := s.lease.Claim(context.Background(), owner, now, m.opt.LeaseTTL)
+	if !ok {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("session: %s is claimed by %s (lease live)", id, prev)
+	}
+	if draining {
 		// The new claim resumes from the last checkpoint's fork, not the
 		// drained claim's live instance — migration rides the same
 		// copy-on-write machinery as checkpointing, and determinism makes
@@ -67,28 +62,30 @@ func (m *Manager) Claim(ctx context.Context, id, owner string) (*Claim, error) {
 		s.migrateLocked()
 		s.state = StateOpen
 	}
-	s.epoch++
-	s.lease = sessLease{owner: owner, expires: now.Add(m.opt.LeaseTTL), revoke: make(chan struct{})}
-	c := &Claim{m: m, s: s, owner: owner, epoch: s.epoch, Revoke: s.lease.revoke}
-	epoch := s.epoch
+	c := &Claim{m: m, s: s, owner: owner, epoch: epoch, Revoke: hold.Done()}
 	s.mu.Unlock()
 
+	if takeover {
+		detail := "lease expired"
+		if draining {
+			detail = "drain"
+		}
+		m.tel.fenced.Inc()
+		m.event(telemetry.Event{Type: telemetry.EventSessionFenced, Job: id,
+			Worker: prev, Epoch: prevEpoch, Detail: detail})
+	}
 	m.event(telemetry.Event{Type: telemetry.EventSessionClaimed, Job: id,
 		Worker: owner, Epoch: epoch})
 	m.logf("session %s claimed by %s (epoch %d)", id, owner, epoch)
 	return c, nil
 }
 
-// fencedLocked reports whether the claim has been superseded. Callers
-// hold c.s.mu.
-func (c *Claim) fencedLocked() bool {
-	return c.s.epoch != c.epoch || c.s.lease.owner != c.owner
-}
-
-// heartbeatLocked renews the lease. Callers hold c.s.mu and have checked
-// the fence.
-func (c *Claim) heartbeatLocked() {
-	c.s.lease.expires = c.m.opt.Now().Add(c.m.opt.LeaseTTL)
+// cursor reads the session's stream cursors: the highest applied batch
+// sequence and the cumulative branch count.
+func (c *Claim) cursor() (lastSeq, branches uint64) {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	return c.s.lastSeq, c.s.branches
 }
 
 // Apply runs one branch-batch frame through the session. The batch is
@@ -106,7 +103,7 @@ func (c *Claim) Apply(f Frame) (OutFrame, error) {
 	}
 	s := c.s
 	s.mu.Lock()
-	if c.fencedLocked() {
+	if !s.lease.Holds(c.epoch) {
 		s.mu.Unlock()
 		return OutFrame{}, ErrFenced
 	}
@@ -118,10 +115,11 @@ func (c *Claim) Apply(f Frame) (OutFrame, error) {
 		// Already applied (client replay after reconnect): return the
 		// existing predictions frame for that batch if it is still in the
 		// log, else a bare ack.
-		c.heartbeatLocked()
-		for i := len(s.out) - 1; i >= 0; i-- {
-			if s.out[i].Type == FramePredictions && s.out[i].Batch == f.Seq {
-				of := s.out[i]
+		s.lease.Renew(c.epoch, c.m.opt.Now(), c.m.opt.LeaseTTL)
+		out := s.log.Entries()
+		for i := len(out) - 1; i >= 0; i-- {
+			if out[i].Type == FramePredictions && out[i].Batch == f.Seq {
+				of := out[i]
 				s.mu.Unlock()
 				return of, nil
 			}
@@ -150,10 +148,9 @@ func (c *Claim) Apply(f Frame) (OutFrame, error) {
 			return OutFrame{}, fmt.Errorf("session: journaling batch %d: %w", f.Seq, err)
 		}
 	}
-	c.heartbeatLocked()
-	of := s.applyLocked(f)
+	s.lease.Renew(c.epoch, c.m.opt.Now(), c.m.opt.LeaseTTL)
+	of := s.log.Append(s.applyLocked(f))
 	s.tail = append(s.tail, f)
-	of = s.appendLocked(of)
 	var ckptFrame *OutFrame
 	if s.branches >= s.nextCkpt {
 		ck := s.takeCheckpointLocked()
@@ -178,7 +175,7 @@ func (c *Claim) Apply(f Frame) (OutFrame, error) {
 func (c *Claim) Checkpoint() (OutFrame, error) {
 	s := c.s
 	s.mu.Lock()
-	if c.fencedLocked() {
+	if !s.lease.Holds(c.epoch) {
 		s.mu.Unlock()
 		return OutFrame{}, ErrFenced
 	}
@@ -190,7 +187,7 @@ func (c *Claim) Checkpoint() (OutFrame, error) {
 			return OutFrame{}, fmt.Errorf("session: journaling checkpoint: %w", err)
 		}
 	}
-	c.heartbeatLocked()
+	s.lease.Renew(c.epoch, c.m.opt.Now(), c.m.opt.LeaseTTL)
 	of := s.takeCheckpointLocked()
 	s.mu.Unlock()
 	c.m.tel.checkpoints.Inc()
@@ -203,7 +200,7 @@ func (c *Claim) Checkpoint() (OutFrame, error) {
 // snapshot — journaled, so a restart replays the same checkpoint frame
 // at the same position), the session is marked draining so the next
 // Claim takes over immediately, and this claim is done. The draining
-// claim keeps its revoke channel until the successor fences it.
+// claim keeps its lease until the successor fences it.
 func (c *Claim) Drain() (OutFrame, error) {
 	of, err := c.Checkpoint()
 	if err != nil {
@@ -211,7 +208,7 @@ func (c *Claim) Drain() (OutFrame, error) {
 	}
 	s := c.s
 	s.mu.Lock()
-	if c.fencedLocked() {
+	if !s.lease.Holds(c.epoch) {
 		s.mu.Unlock()
 		return OutFrame{}, ErrFenced
 	}
@@ -227,17 +224,9 @@ func (c *Claim) Drain() (OutFrame, error) {
 // session stays open and immediately claimable. Fenced claims release as
 // a no-op.
 func (c *Claim) Release() {
-	s := c.s
-	s.mu.Lock()
-	if c.fencedLocked() {
-		s.mu.Unlock()
-		return
-	}
-	if s.lease.revoke != nil {
-		close(s.lease.revoke)
-	}
-	s.lease = sessLease{}
-	s.mu.Unlock()
+	c.s.mu.Lock()
+	c.s.lease.Release(c.epoch)
+	c.s.mu.Unlock()
 }
 
 // Tid is the session's tracer thread id — the lane its epoch spans
@@ -248,30 +237,24 @@ func (c *Claim) Tid() int { return c.s.tid }
 // Epoch is the claim's fencing epoch.
 func (c *Claim) Epoch() uint64 { return c.epoch }
 
-// Stall parks the claim until revoked or ctx ends — the worker.stall
-// chaos site: a wedged connection holds its lease without progress until
-// the TTL expires and a successor fences it.
-func (c *Claim) Stall(ctx context.Context) {
+// maybeStall is the worker.stall chaos site at batch apply. When it
+// fires, the connection holds its lease without progress until a
+// successor fences it or ctx ends, and it reports true.
+func (c *Claim) maybeStall(ctx context.Context) bool {
+	if !c.m.opt.Chaos.Fire(chaos.WorkerStall) {
+		return false
+	}
+	c.m.logf("chaos: session %s claim (epoch %d) stalling", c.s.id, c.epoch)
 	select {
 	case <-c.Revoke:
 	case <-ctx.Done():
 	}
+	return true
 }
 
-// maybeStall consults the chaos injector at the batch-apply site.
-func (c *Claim) maybeStall(ctx context.Context) bool {
-	if c.m.opt.Chaos.Fire(chaos.WorkerStall) {
-		c.m.logf("chaos: session %s claim (epoch %d) stalling", c.s.id, c.epoch)
-		c.Stall(ctx)
-		return true
-	}
-	return false
-}
-
-// updateTelemetryLocked refreshes the ephemeral telemetry snapshot.
-// Callers hold s.mu.
+// updateTelemetryLocked refreshes the ephemeral telemetry snapshot, the
+// output log's latest entry. Callers hold s.mu.
 func (s *Session) updateTelemetryLocked() {
-	s.telSeq++
 	acc := 0.0
 	if s.cond > 0 {
 		acc = 1 - float64(s.mispredicts)/float64(s.cond)
@@ -282,45 +265,38 @@ func (s *Session) updateTelemetryLocked() {
 		// which streamed records carry only optionally.
 		mpki = float64(s.mispredicts) * 1000 / float64(s.branches)
 	}
-	s.telemetry = OutFrame{
+	s.log.SetLatest(OutFrame{
 		Type:        FrameTelemetry,
 		Branches:    s.branches,
 		Mispredicts: s.mispredicts,
 		Accuracy:    acc,
 		MPKIProxy:   mpki,
-	}
+	})
 }
 
 // ExpireLeases revokes leases whose TTL has passed — the supervisor
-// sweep, called from llbpd's housekeeping loop (and tests). Returns the
-// number revoked.
-//
-//llbplint:fence -- the sweep IS the fencing authority: it closes revoke under s.mu before clearing the lease, so the evicted claim's next fencedLocked check fails before it can write
+// sweep, called from llbpd's housekeeping loop (and tests). A draining
+// claim is left for its successor. Returns the number revoked.
 func (m *Manager) ExpireLeases() int {
-	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, id := range m.order {
-		sessions = append(sessions, m.sessions[id])
-	}
-	m.mu.Unlock()
 	now := m.opt.Now()
 	n := 0
-	for _, s := range sessions {
+	for _, s := range m.all() {
 		s.mu.Lock()
-		// A lease is expired from its deadline on, as Claim judges it.
-		if s.lease.revoke != nil && s.state != StateDraining && !now.Before(s.lease.expires) {
-			close(s.lease.revoke)
-			owner, epoch := s.lease.owner, s.epoch
-			s.lease = sessLease{}
-			s.mu.Unlock()
-			n++
-			m.tel.fenced.Inc()
-			m.event(telemetry.Event{Type: telemetry.EventSessionFenced, Job: s.id,
-				Worker: owner, Epoch: epoch, Detail: "lease expired (sweep)"})
-			m.logf("session %s lease expired (owner %s, epoch %d)", s.id, owner, epoch)
-			continue
+		var owner string
+		revoked := false
+		epoch := s.lease.Epoch()
+		if s.state != StateDraining && s.lease.Expired(now) {
+			owner, revoked = s.lease.Revoke()
 		}
 		s.mu.Unlock()
+		if !revoked {
+			continue
+		}
+		n++
+		m.tel.fenced.Inc()
+		m.event(telemetry.Event{Type: telemetry.EventSessionFenced, Job: s.id,
+			Worker: owner, Epoch: epoch, Detail: "lease expired (sweep)"})
+		m.logf("session %s lease expired (owner %s, epoch %d)", s.id, owner, epoch)
 	}
 	return n
 }

@@ -145,6 +145,12 @@ type OutFrame struct {
 	Error string `json:"error,omitempty"`
 }
 
+// WithSeq returns f numbered as persisted frame seq (follow.Entry).
+func (f OutFrame) WithSeq(seq uint64) OutFrame {
+	f.Seq = seq
+	return f
+}
+
 // EncodeOutcomes packs per-branch verdict bytes for the wire.
 func EncodeOutcomes(raw []byte) string {
 	return base64.StdEncoding.EncodeToString(raw)

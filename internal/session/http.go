@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
-	"llbp/internal/chaos"
+	"llbp/internal/follow"
 	"llbp/internal/telemetry"
 )
 
@@ -25,55 +24,40 @@ func (m *Manager) Handler() http.Handler {
 	return mux
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-//llbplint:sink -- session wire responses are asserted byte-for-byte by the resume e2e; payloads must not depend on iteration or arrival order
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
 func (m *Manager) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding session request: %v", err)
+		follow.WriteError(w, http.StatusBadRequest, "decoding session request: %v", err)
 		return
 	}
 	st, err := m.Open(r.Context(), req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		follow.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, st)
+	follow.WriteJSON(w, http.StatusCreated, st)
 }
 
 func (m *Manager) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, m.List())
+	follow.WriteJSON(w, http.StatusOK, m.List())
 }
 
 func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := m.Get(r.Context(), r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		follow.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	follow.WriteJSON(w, http.StatusOK, st)
 }
 
 func (m *Manager) handleClose(w http.ResponseWriter, r *http.Request) {
 	st, err := m.Close(r.Context(), r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		follow.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	follow.WriteJSON(w, http.StatusOK, st)
 }
 
 // PushSummary is the push connection's trailing response: how far the
@@ -94,6 +78,8 @@ type PushSummary struct {
 // answering each batch land on the session's output log; pull them from
 // the stream endpoint (HTTP/1.1 clients cannot reliably read a response
 // while still writing the request, so the two halves are two calls).
+//
+//llbplint:worker -- a push connection writes session state on behalf of the remote client holding the claim
 func (m *Manager) handlePush(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	fr := NewFrameReader(r.Body)
@@ -101,11 +87,11 @@ func (m *Manager) handlePush(w http.ResponseWriter, r *http.Request) {
 	// The stream must open with a hello naming the schema.
 	first, err := fr.Next()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading hello: %v", err)
+		follow.WriteError(w, http.StatusBadRequest, "reading hello: %v", err)
 		return
 	}
 	if first.Type != FrameHello {
-		writeError(w, http.StatusBadRequest, "first frame is %q, want %q", first.Type, FrameHello)
+		follow.WriteError(w, http.StatusBadRequest, "first frame is %q, want %q", first.Type, FrameHello)
 		return
 	}
 
@@ -115,7 +101,7 @@ func (m *Manager) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 	claim, err := m.Claim(r.Context(), id, owner)
 	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		follow.WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	// Time the epoch span locally on this connection: the wall-clock
@@ -130,9 +116,8 @@ func (m *Manager) handlePush(w http.ResponseWriter, r *http.Request) {
 	sum := PushSummary{}
 	fail := func(status int, err error) {
 		sum.Error = err.Error()
-		st, _ := m.Get(r.Context(), id)
-		sum.LastSeq, sum.Branches = st.LastSeq, st.Branches
-		writeJSON(w, status, sum)
+		sum.LastSeq, sum.Branches = claim.cursor()
+		follow.WriteJSON(w, status, sum)
 	}
 
 loop:
@@ -187,98 +172,27 @@ loop:
 			}
 			sum.Closed = true
 			sum.LastSeq, sum.Branches = st.LastSeq, st.Branches
-			writeJSON(w, http.StatusOK, sum)
+			follow.WriteJSON(w, http.StatusOK, sum)
 			return
 		}
 	}
 	if !sum.Drained {
 		claim.Release()
 	}
-	st, _ := m.Get(r.Context(), id)
-	sum.LastSeq, sum.Branches = st.LastSeq, st.Branches
-	writeJSON(w, http.StatusOK, sum)
+	sum.LastSeq, sum.Branches = claim.cursor()
+	follow.WriteJSON(w, http.StatusOK, sum)
 }
 
 // handleStream is the server→client half: the session's output log as
-// NDJSON OutFrames. Without ?follow=1 it replays what exists and
-// returns; with it, the stream stays open — interleaving persisted
-// frames with ephemeral telemetry snapshots when ?telemetry=1 — until
-// the session closes or the client disconnects. ?from=N resumes after
-// persisted frame N, so an interrupted reader reconnects without
-// re-receiving or missing anything. Each write carries the manager's
-// StreamWriteTimeout: a reader too slow to absorb the stream is
-// disconnected rather than allowed to wedge the handler, and resumes
-// from its cursor.
+// NDJSON OutFrames (follow.Follower), interleaved with telemetry
+// snapshots under ?follow=1&telemetry=1. A reader too slow for
+// StreamWriteTimeout is dropped and resumes with ?from=N.
 func (m *Manager) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s, err := m.lookup(r.Context(), id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		follow.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	follow := r.URL.Query().Get("follow") == "1"
-	wantTel := r.URL.Query().Get("telemetry") == "1"
-	pos := 0
-	if from := r.URL.Query().Get("from"); from != "" {
-		n, err := strconv.Atoi(from)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad from=%q: want a non-negative frame sequence", from)
-			return
-		}
-		pos = n // Seq is the 1-based position, so "after seq N" = index N
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	//llbplint:sink -- the session verdict stream is compared byte-for-byte between killed-and-resumed and uninterrupted runs
-	write := func(of OutFrame) error {
-		if m.opt.Chaos.Fire(chaos.StreamDrop) {
-			m.logf("session %s: chaos severed frame stream", id)
-			//llbplint:allow nopanic -- chaos injection: http.ErrAbortHandler is the stdlib contract for aborting a response mid-stream
-			panic(http.ErrAbortHandler)
-		}
-		_ = rc.SetWriteDeadline(m.opt.Now().Add(m.opt.StreamWriteTimeout))
-		err := enc.Encode(of)
-		if err != nil {
-			m.logf("session %s: dropping stream client: %v", id, err)
-		}
-		return err
-	}
-
-	var telSeq uint64
-	for {
-		evs, tel, nts, terminal, pulse := s.frames(pos, telSeq)
-		telSeq = nts
-		pos += len(evs)
-		for _, of := range evs {
-			if err := write(of); err != nil {
-				return
-			}
-		}
-		if follow && wantTel && !terminal && tel != nil {
-			if err := write(*tel); err != nil {
-				return
-			}
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if terminal && len(evs) == 0 {
-			return // full replay delivered, done frame included
-		}
-		if !follow && len(evs) == 0 {
-			return // snapshot mode: dumped what exists
-		}
-		if terminal || (!follow && len(evs) > 0) {
-			continue // drain anything appended meanwhile
-		}
-		select {
-		case <-pulse:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	m.stream.Serve(w, r, "session "+id, s.frames)
 }

@@ -5,10 +5,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"llbp/internal/chaos"
+	"llbp/internal/experiments"
+	"llbp/internal/telemetry"
+	"llbp/internal/workload"
 )
 
 // pushFrames posts a hello plus the given frames to the push endpoint
@@ -259,5 +266,72 @@ func TestHTTPOversizedBatch(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("oversized batch accepted")
+	}
+}
+
+// TestStreamCounters: the verdict stream counts a ?from=N resume with
+// its gap (the persisted frames the reader was behind) and a chaos drop,
+// as the job results stream does.
+func TestStreamCounters(t *testing.T) {
+	wl, err := workload.ByName("Tomcat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	m, err := New(Options{
+		Forker:   experiments.NewHarness(experiments.Config{Warmup: 5_000, Measure: 10_000, Workloads: []*workload.Source{wl}}),
+		LeaseTTL: time.Minute,
+		Registry: reg,
+		// The 5th stream write is severed: the 2nd line of the full read.
+		Chaos: chaos.New(chaos.Rule{Hook: chaos.StreamDrop, At: 5}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	st, err := m.Open(t.Context(), Request{Schema: Schema, Predictor: "64k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, code := pushFrames(t, ts, st.ID, testStream(t, 0, 5, 100)); code != http.StatusOK || sum.Applied != 5 {
+		t.Fatalf("push: %d %+v", code, sum)
+	}
+	got, err := m.Get(t.Context(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const from = 2
+	frames := int(got.Frames) // M persisted frames
+	if frames != 5 {
+		t.Fatalf("%d persisted frames, want 5 (one per batch)", frames)
+	}
+
+	// Resume after frame 2 of 5: one resume, a gap of 3, 3 writes.
+	if _, tail := readStream(t, ts, st.ID, fmt.Sprintf("?from=%d", from)); len(tail) != frames-from {
+		t.Fatalf("resume returned %d frames, want %d", len(tail), frames-from)
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counters["session_stream_resumes"]; n != 1 {
+		t.Errorf("session_stream_resumes = %d, want 1", n)
+	}
+	if h := snap.Histograms["session_stream_resume_gap_frames"]; h.Count != 1 || h.Sum != float64(frames-from) {
+		t.Errorf("resume gap histogram: count %d sum %v, want 1 observation of %d", h.Count, h.Sum, frames-from)
+	}
+
+	// A full read: its 2nd write (the 5th overall) is severed. The body
+	// is not checked: the abort may come before any byte reached the
+	// client, which then retries the GET on a fresh connection.
+	resp, err := http.Get(ts.URL + "/v1/session/" + st.ID + "/stream")
+	if err == nil {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	snap = reg.Snapshot()
+	if n := snap.Counters["session_streams_chaos_dropped"]; n != 1 {
+		t.Errorf("session_streams_chaos_dropped = %d, want 1", n)
+	}
+	if n := snap.Counters["session_stream_resumes"]; n != 1 {
+		t.Errorf("a read without from= counted as a resume (%d)", n)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"llbp/internal/chaos"
+	"llbp/internal/follow"
 	"llbp/internal/harness"
 	"llbp/internal/predictor"
 	"llbp/internal/sim"
@@ -81,6 +82,7 @@ type Manager struct {
 	opt     Options
 	journal *harness.Journal
 	tel     sessTel
+	stream  follow.Follower[OutFrame]
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -137,6 +139,15 @@ func New(opt Options) (*Manager, error) {
 			fenced:      opt.Registry.Counter("session_fenced_total"),
 			resumed:     opt.Registry.Counter("session_resumed_total"),
 		}
+	}
+	reg := opt.Registry
+	m.stream = follow.Follower[OutFrame]{
+		Unit: "frame", LatestFlag: "telemetry", WriteTimeout: opt.StreamWriteTimeout,
+		Now: opt.Now, Chaos: opt.Chaos, Logf: opt.Logf,
+		Resumes:     reg.Counter("session_stream_resumes"),
+		ResumeGap:   reg.Histogram("session_stream_resume_gap_frames", telemetry.ExponentialBuckets(1, 2, 8)),
+		SlowClients: reg.Counter("session_streams_slow_client"),
+		ChaosDrops:  reg.Counter("session_streams_chaos_dropped"),
 	}
 	m.opt.Tracer.ProcessName(telemetry.PidSession, "llbpd sessions")
 	if opt.JournalPath != "" {
@@ -235,7 +246,7 @@ func (m *Manager) newSession(id string, req Request, tid int) *Session {
 		state:     StateOpen,
 		ckptEvery: req.CheckpointBranches,
 		nextCkpt:  req.CheckpointBranches,
-		pulse:     make(chan struct{}),
+		log:       follow.NewLog[OutFrame](),
 		tid:       tid,
 	}
 }
@@ -341,7 +352,7 @@ func (m *Manager) build(ctx context.Context, s *Session) error {
 		m.event(telemetry.Event{Type: telemetry.EventSessionResumed, Job: s.id,
 			Tenant: s.req.Tenant, Detail: fmt.Sprintf("replayed %d events", len(replay))})
 		m.logf("session %s resumed: %d events replayed, %d branches, %d frames",
-			s.id, len(replay), s.branches, len(s.out))
+			s.id, len(replay), s.branches, len(s.log.Entries()))
 	}
 	return nil
 }
@@ -354,9 +365,9 @@ func (m *Manager) applyEntryLocked(s *Session, e journalEntry) {
 		if e.Seq <= s.lastSeq {
 			return // idempotent: latest-wins rewrites can duplicate
 		}
-		of := s.applyLocked(Frame{Type: FrameBranchBatch, Seq: e.Seq, Branches: e.Branches})
-		s.tail = append(s.tail, Frame{Type: FrameBranchBatch, Seq: e.Seq, Branches: e.Branches})
-		s.appendLocked(of)
+		f := Frame{Type: FrameBranchBatch, Seq: e.Seq, Branches: e.Branches}
+		s.log.Append(s.applyLocked(f))
+		s.tail = append(s.tail, f)
 		if s.branches >= s.nextCkpt {
 			s.takeCheckpointLocked()
 		}
@@ -364,7 +375,7 @@ func (m *Manager) applyEntryLocked(s *Session, e journalEntry) {
 		s.takeCheckpointLocked()
 	case "close":
 		s.state = StateClosed
-		s.appendLocked(OutFrame{Type: FrameDone, Branches: s.branches,
+		s.log.Finish(OutFrame{Type: FrameDone, Branches: s.branches,
 			Mispredicts: s.mispredicts, State: StateClosed})
 	}
 }
@@ -382,13 +393,7 @@ func (m *Manager) Get(ctx context.Context, id string) (Status, error) {
 
 // List returns all sessions' statuses in open order.
 func (m *Manager) List() []Status {
-	m.mu.Lock()
-	order := append([]string(nil), m.order...)
-	sessions := make([]*Session, 0, len(order))
-	for _, id := range order {
-		sessions = append(sessions, m.sessions[id])
-	}
-	m.mu.Unlock()
+	sessions := m.all()
 	out := make([]Status, 0, len(sessions))
 	for _, s := range sessions {
 		s.mu.Lock()
@@ -396,6 +401,17 @@ func (m *Manager) List() []Status {
 		s.mu.Unlock()
 	}
 	return out
+}
+
+// all returns every session in open order.
+func (m *Manager) all() []*Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sessions := make([]*Session, 0, len(m.order))
+	for _, id := range m.order {
+		sessions = append(sessions, m.sessions[id])
+	}
+	return sessions
 }
 
 // lookup finds a session and ensures it is built (triggering the lazy
@@ -427,12 +443,9 @@ func (m *Manager) Close(ctx context.Context, id string) (Status, error) {
 		s.mu.Unlock()
 		return st, nil
 	}
+	s.lease.Revoke()
 	s.state = StateClosed
-	if s.lease.revoke != nil {
-		close(s.lease.revoke)
-		s.lease = sessLease{}
-	}
-	s.appendLocked(OutFrame{Type: FrameDone, Branches: s.branches,
+	s.log.Finish(OutFrame{Type: FrameDone, Branches: s.branches,
 		Mispredicts: s.mispredicts, State: StateClosed})
 	jn := s.jn
 	s.jn++

@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
+	"llbp/internal/follow"
+	"llbp/internal/lease"
 	"llbp/internal/predictor"
 	"llbp/internal/sim"
 )
@@ -57,7 +58,8 @@ type Status struct {
 	Workload  string `json:"workload,omitempty"`
 	Warmup    uint64 `json:"warmup,omitempty"`
 	Tenant    string `json:"tenant,omitempty"`
-	// Epoch is the claim generation; Owner the current claim holder.
+	// Epoch is the claim generation, the number of claims so far; Owner
+	// the current claim holder.
 	Epoch uint64 `json:"epoch,omitempty"`
 	Owner string `json:"owner,omitempty"`
 	// LastSeq is the highest applied batch sequence; Branches the
@@ -69,15 +71,6 @@ type Status struct {
 	Frames uint64 `json:"frames"`
 	// Checkpoints counts checkpoints taken (auto + explicit).
 	Checkpoints uint64 `json:"checkpoints"`
-}
-
-// sessLease records which push connection owns the session's current
-// claim and until when. revoke is closed when the claim is superseded or
-// released — a stalled connection parked on it learns it lost ownership.
-type sessLease struct {
-	owner   string
-	expires time.Time
-	revoke  chan struct{}
 }
 
 // checkpoint is one captured session snapshot: a copy-on-write fork of
@@ -96,11 +89,10 @@ type checkpoint struct {
 
 // Session is the in-memory runtime of one streaming prediction session.
 //
-// Ownership is lease-based, mirroring the job service: each push
-// connection claims the session and bumps the epoch; every apply and
-// every emitted frame carries the claiming epoch and is rejected once
-// superseded, so a revoked connection can never append a frame for a
-// session someone else now owns.
+// Ownership is lease-based, as for jobs: each push connection claims
+// the session's lease, and every apply and emitted frame is rejected
+// once the claim's epoch no longer holds it, so a revoked connection can
+// never append a frame for a session someone else now owns.
 //
 //llbplint:leased -- session state is owned by the current claim; connection-reachable writes must be fenced on the claim epoch
 type Session struct {
@@ -109,8 +101,7 @@ type Session struct {
 
 	mu    sync.Mutex
 	state string
-	epoch uint64
-	lease sessLease
+	lease lease.Lease
 
 	// built gates lazy rebuild: a session restored from the journal has
 	// no predictor until first touched, when the manager re-forks the
@@ -144,16 +135,9 @@ type Session struct {
 	// checkpoint cadence: taking a checkpoint clears it.
 	tail []Frame
 
-	// Persisted output log (predictions/checkpoint/done frames);
-	// OutFrame.Seq = index+1. pulse is closed and replaced on every
-	// append to wake streaming followers.
-	out   []OutFrame
-	pulse chan struct{}
-
-	// Ephemeral telemetry snapshot: only the latest is kept, stamped with
-	// telSeq so followers dedup.
-	telemetry OutFrame
-	telSeq    uint64
+	// log is the output log: persisted predictions, checkpoint and done
+	// frames, with the telemetry snapshot as its ephemeral latest entry.
+	log follow.Log[OutFrame]
 
 	// tid is the session's trace-event thread id (open order).
 	tid int
@@ -198,16 +182,6 @@ func (s *Session) applyLocked(f Frame) OutFrame {
 	}
 }
 
-// appendLocked sequences and appends a persisted frame, waking
-// followers. Callers hold mu.
-func (s *Session) appendLocked(of OutFrame) OutFrame {
-	of.Seq = uint64(len(s.out)) + 1
-	s.out = append(s.out, of)
-	close(s.pulse)
-	s.pulse = make(chan struct{})
-	return of
-}
-
 // takeCheckpointLocked captures a checkpoint: a copy-on-write fork of
 // the live predictor plus the stream cursors, and the persisted
 // checkpoint frame. Non-forkable predictors checkpoint cursors only
@@ -228,7 +202,7 @@ func (s *Session) takeCheckpointLocked() OutFrame {
 	s.tail = s.tail[:0]
 	s.checkpoints++
 	s.nextCkpt = s.branches + s.ckptEvery
-	return s.appendLocked(OutFrame{
+	return s.log.Append(OutFrame{
 		Type:     FrameCkptAck,
 		Batch:    s.lastSeq,
 		Branches: s.branches,
@@ -264,41 +238,27 @@ func (s *Session) migrateLocked() {
 
 // snapshotLocked builds the Status. Callers hold mu.
 func (s *Session) snapshotLocked() Status {
-	st := Status{
+	return Status{
 		ID:          s.id,
 		State:       s.state,
 		Predictor:   s.req.Predictor,
 		Workload:    s.req.Workload,
 		Warmup:      s.req.Warmup,
 		Tenant:      s.req.Tenant,
-		Epoch:       s.epoch,
+		Epoch:       s.lease.Claims(),
+		Owner:       s.lease.Owner(),
 		LastSeq:     s.lastSeq,
 		Branches:    s.branches,
 		Mispredicts: s.mispredicts,
-		Frames:      uint64(len(s.out)),
+		Frames:      uint64(len(s.log.Entries())),
 		Checkpoints: s.checkpoints,
 	}
-	if s.lease.owner != "" {
-		st.Owner = s.lease.owner
-	}
-	return st
 }
 
-// frames returns the persisted frames after position pos plus the
-// ephemeral telemetry snapshot (if newer than telSeq), the terminal
-// flag, and the pulse channel to wait on — the session counterpart of
-// the job service's snapshot(pos).
-func (s *Session) frames(pos int, telSeq uint64) (evs []OutFrame, tel *OutFrame, newTelSeq uint64, terminal bool, pulse chan struct{}) {
+// frames reads the output log from pos on under the session lock: one
+// stream follower iteration (follow.ReadFunc).
+func (s *Session) frames(pos int) ([]OutFrame, OutFrame, uint64, bool, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if pos < len(s.out) {
-		evs = append(evs, s.out[pos:]...)
-	}
-	newTelSeq = telSeq
-	if s.telSeq > telSeq {
-		t := s.telemetry
-		tel = &t
-		newTelSeq = s.telSeq
-	}
-	return evs, tel, newTelSeq, s.state == StateClosed, s.pulse
+	return s.log.Read(pos)
 }

@@ -98,7 +98,7 @@ func marshalFrames(t testing.TB, frames []OutFrame) string {
 }
 
 func allFrames(s *Session) []OutFrame {
-	evs, _, _, _, _ := s.frames(0, 0)
+	evs, _, _, _, _ := s.frames(0)
 	return evs
 }
 

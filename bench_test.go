@@ -15,12 +15,10 @@ import (
 	"sync"
 	"testing"
 
-	"llbp/internal/core"
 	"llbp/internal/experiments"
 	"llbp/internal/predictor"
 	"llbp/internal/report"
 	"llbp/internal/sim"
-	"llbp/internal/tage"
 	"llbp/internal/telemetry"
 	"llbp/internal/trace"
 	"llbp/internal/trace/cache"
@@ -213,13 +211,12 @@ func benchStream() []trace.Branch {
 	return stream
 }
 
-// benchPredictor measures raw per-branch throughput: the replay step
-// (clock, predict/update, penalties and resets) without stream dispatch
-// or measurement bookkeeping.
-func benchPredictor(b *testing.B, build func(*predictor.Clock) predictor.Predictor) {
+// benchPredictor measures raw per-branch throughput of p, driven by
+// clock: the replay step (clock, predict/update, penalties and resets)
+// without stream dispatch or measurement bookkeeping.
+func benchPredictor(b *testing.B, p predictor.Predictor, clock *predictor.Clock) {
 	s := benchStream()
-	clock := &predictor.Clock{}
-	st := sim.NewStepper(build(clock), clock)
+	st := sim.NewStepper(p, clock)
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
@@ -231,40 +228,40 @@ func benchPredictor(b *testing.B, build func(*predictor.Clock) predictor.Predict
 	}
 }
 
-func BenchmarkPredict64KTSL(b *testing.B) {
-	benchPredictor(b, func(*predictor.Clock) predictor.Predictor {
-		return tsl.MustNew(tsl.Config64K())
-	})
+// buildSpec builds the registered predictor spec key with its clock.
+func buildSpec(b *testing.B, key string) (predictor.Predictor, *predictor.Clock) {
+	b.Helper()
+	spec, err := experiments.SpecByKey(key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clock := &predictor.Clock{}
+	p, err := spec.Build(clock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, clock
 }
 
-func BenchmarkPredictLLBP(b *testing.B) {
-	benchPredictor(b, func(c *predictor.Clock) predictor.Predictor {
-		return core.MustNew(core.DefaultConfig(), tsl.MustNew(tsl.Config64K()), c)
-	})
+// benchSpec runs benchPredictor on a fresh predictor of the registered
+// spec key.
+func benchSpec(b *testing.B, key string) {
+	p, clock := buildSpec(b, key)
+	benchPredictor(b, p, clock)
 }
+
+func BenchmarkPredict64KTSL(b *testing.B) { benchSpec(b, "64k") }
+
+func BenchmarkPredictLLBP(b *testing.B) { benchSpec(b, "llbp") }
 
 // --- End-to-end replay throughput ---
 
-// replayFamilies are the predictor families BENCH_5.json tracks. Each
-// build must return a fresh predictor (replay throughput includes
-// predictor state growth, so reuse would flatter later iterations).
-var replayFamilies = []struct {
-	Name  string
-	Build func(*predictor.Clock) predictor.Predictor
-}{
-	{"tage", func(*predictor.Clock) predictor.Predictor {
-		p, err := tage.New(tage.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}},
-	{"tage-sc-l", func(*predictor.Clock) predictor.Predictor {
-		return tsl.MustNew(tsl.Config64K())
-	}},
-	{"llbp", func(c *predictor.Clock) predictor.Predictor {
-		return core.MustNew(core.DefaultConfig(), tsl.MustNew(tsl.Config64K()), c)
-	}},
+// replayFamilies are the predictor families BENCH_5.json tracks, each
+// the registered predictor spec named beside it.
+var replayFamilies = []struct{ Name, Spec string }{
+	{"tage", "tage"},
+	{"tage-sc-l", "64k"},
+	{"llbp", "llbp"},
 }
 
 // replayBranches is the per-iteration branch budget of the replay
@@ -273,9 +270,10 @@ const replayBranches = 100_000
 
 // benchReplay drives one full sim.Run per iteration — stream dispatch,
 // cycle model, accounting and the predictor — from a materialized trace,
-// and reports end-to-end branches/sec. This is the number the batched
-// replay engine and the de-allocation work move.
-func benchReplay(b *testing.B, build func(*predictor.Clock) predictor.Predictor) {
+// and reports end-to-end branches/sec. Each iteration replays a fresh
+// predictor of the registered spec key (replay throughput includes
+// predictor state growth, so reuse would flatter later iterations).
+func benchReplay(b *testing.B, key string) {
 	b.Helper()
 	wl, err := workload.ByName("Tomcat")
 	if err != nil {
@@ -288,8 +286,8 @@ func benchReplay(b *testing.B, build func(*predictor.Clock) predictor.Predictor)
 	defer h.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clock := &predictor.Clock{}
-		if _, err := sim.Run(h, build(clock), sim.Options{
+		p, clock := buildSpec(b, key)
+		if _, err := sim.Run(h, p, sim.Options{
 			WarmupBranches:  20_000,
 			MeasureBranches: replayBranches - 20_000,
 			Clock:           clock,
@@ -307,7 +305,7 @@ func benchReplay(b *testing.B, build func(*predictor.Clock) predictor.Predictor)
 // written to BENCH_5.json by cmd/benchreplay and smoke-run in CI.
 func BenchmarkReplayThroughput(b *testing.B) {
 	for _, fam := range replayFamilies {
-		b.Run(fam.Name, func(b *testing.B) { benchReplay(b, fam.Build) })
+		b.Run(fam.Name, func(b *testing.B) { benchReplay(b, fam.Spec) })
 	}
 }
 
@@ -323,18 +321,11 @@ const telOpsPerBranch = 8
 // with telemetry detached (every instrument nil) and attached to a live
 // registry. CI runs the disabled variant next to BenchmarkPredict64KTSL.
 func BenchmarkTelemetryOverhead(b *testing.B) {
-	b.Run("disabled", func(b *testing.B) {
-		benchPredictor(b, func(*predictor.Clock) predictor.Predictor {
-			return tsl.MustNew(tsl.Config64K())
-		})
-	})
+	b.Run("disabled", func(b *testing.B) { benchSpec(b, "64k") })
 	b.Run("enabled", func(b *testing.B) {
-		reg := telemetry.NewRegistry()
-		benchPredictor(b, func(*predictor.Clock) predictor.Predictor {
-			p := tsl.MustNew(tsl.Config64K())
-			p.AttachTelemetry(reg)
-			return p
-		})
+		p := tsl.MustNew(tsl.Config64K())
+		p.AttachTelemetry(telemetry.NewRegistry())
+		benchPredictor(b, p, &predictor.Clock{})
 	})
 }
 
@@ -366,11 +357,7 @@ func TestDisabledTelemetryOverhead(t *testing.T) {
 	})
 	// nilOp iterations each perform two instrument calls.
 	nilNs := float64(nilOp.T.Nanoseconds()) / float64(nilOp.N) / 2
-	branch := testing.Benchmark(func(b *testing.B) {
-		benchPredictor(b, func(*predictor.Clock) predictor.Predictor {
-			return tsl.MustNew(tsl.Config64K())
-		})
-	})
+	branch := testing.Benchmark(func(b *testing.B) { benchSpec(b, "64k") })
 	branchNs := float64(branch.T.Nanoseconds()) / float64(branch.N)
 	if branchNs == 0 {
 		t.Fatal("branch benchmark did not run")

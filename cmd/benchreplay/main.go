@@ -17,7 +17,6 @@
 //	benchreplay -compare BENCH_5.json -out BENCH_6.json  # measure, diff, gate
 //	benchreplay -branches 50000 -out -                   # quick run to stdout
 //	benchreplay -out BENCH_8.json -cpuprofile llbp.prof  # plus llbp CPU profile
-//	benchreplay -micro                                   # per-component microbenchmarks
 package main
 
 import (
@@ -33,15 +32,12 @@ import (
 	"testing"
 	"time"
 
-	"llbp/internal/core"
 	"llbp/internal/experiments"
 	"llbp/internal/predictor"
 	"llbp/internal/session"
 	"llbp/internal/sim"
-	"llbp/internal/tage"
 	"llbp/internal/trace"
 	"llbp/internal/trace/cache"
-	"llbp/internal/tsl"
 	"llbp/internal/workload"
 )
 
@@ -148,25 +144,13 @@ type Result struct {
 // "inherited-baseline" verdict instead of failing the parse).
 const sessionFamily = "session"
 
-// families mirrors BenchmarkReplayThroughput's predictor set; the
-// committed document must cover exactly these.
-var families = []struct {
-	name  string
-	build func(*predictor.Clock) predictor.Predictor
-}{
-	{"tage", func(*predictor.Clock) predictor.Predictor {
-		p, err := tage.New(tage.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}},
-	{"tage-sc-l", func(*predictor.Clock) predictor.Predictor {
-		return tsl.MustNew(tsl.Config64K())
-	}},
-	{"llbp", func(c *predictor.Clock) predictor.Predictor {
-		return core.MustNew(core.DefaultConfig(), tsl.MustNew(tsl.Config64K()), c)
-	}},
+// families mirrors BenchmarkReplayThroughput's predictor set: each family
+// replays the registered predictor spec (experiments.SpecByKey) named
+// beside it. The committed document must cover exactly these.
+var families = []struct{ name, spec string }{
+	{"tage", "tage"},
+	{"tage-sc-l", "64k"},
+	{"llbp", "llbp"},
 }
 
 func main() {
@@ -184,18 +168,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warmup   = fs.Uint64("warmup", 20_000, "warmup branches per iteration")
 		compare  = fs.String("compare", "", "baseline benchmark document to diff the fresh measurement against")
 		tol      = fs.Float64("tolerance", 5.0, "max per-family branches/s regression percent before -compare fails")
-		micro    = fs.Bool("micro", false, "run the per-component llbp microbenchmarks instead of the replay families")
 		profile  = fs.String("cpuprofile", "", "write a CPU profile of the llbp family's measurement to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *micro {
-		if *check != "" || *compare != "" {
-			fmt.Fprintln(stderr, "benchreplay: -micro is exclusive with -check/-compare")
-			return 2
-		}
-		return runMicro(stdout, stderr)
 	}
 	if *check != "" && *compare != "" {
 		fmt.Fprintln(stderr, "benchreplay: -check and -compare are mutually exclusive")
@@ -303,23 +279,6 @@ func compareDocs(doc, baseline *Doc, tol float64, stderr io.Writer) []string {
 	return regressions
 }
 
-// runMicro measures the per-component llbp microbenchmarks
-// (core.Microbenches) and prints one line each. The components are the
-// structures the end-to-end llbp number decomposes into, so a replay
-// regression can be localized without a profiler.
-func runMicro(stdout, stderr io.Writer) int {
-	for _, m := range core.Microbenches() {
-		r := testing.Benchmark(func(b *testing.B) { m.Run(b.N) })
-		if r.N == 0 {
-			fmt.Fprintf(stderr, "benchreplay: microbenchmark %s did not run\n", m.Name)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%-18s %12d iters %10.1f ns/op\n",
-			m.Name, r.N, float64(r.T.Nanoseconds())/float64(r.N))
-	}
-	return 0
-}
-
 // measure runs the replay benchmark for every family via
 // testing.Benchmark, so iteration scaling matches `go test -bench`.
 // When cpuprofile is non-empty, the llbp family's measurement — the
@@ -345,6 +304,10 @@ func measure(wlName string, branches, warmup uint64, cpuprofile string, progress
 		Machine:  currentMachine(),
 	}
 	for _, fam := range families {
+		spec, err := experiments.SpecByKey(fam.spec)
+		if err != nil {
+			return nil, err
+		}
 		profiled := cpuprofile != "" && fam.name == "llbp"
 		if profiled {
 			f, err := os.Create(cpuprofile)
@@ -363,11 +326,15 @@ func measure(wlName string, branches, warmup uint64, cpuprofile string, progress
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				clock := &predictor.Clock{}
-				if _, err := sim.Run(h, fam.build(clock), sim.Options{
-					WarmupBranches:  warmup,
-					MeasureBranches: branches - warmup,
-					Clock:           clock,
-				}); err != nil {
+				p, err := spec.Build(clock)
+				if err == nil {
+					_, err = sim.Run(h, p, sim.Options{
+						WarmupBranches:  warmup,
+						MeasureBranches: branches - warmup,
+						Clock:           clock,
+					})
+				}
+				if err != nil {
 					runErr = err
 					b.FailNow()
 				}

@@ -266,12 +266,6 @@ func TestCompareUsage(t *testing.T) {
 	if code := run([]string{"-compare", filepath.Join(dir, "absent.json"), "-out", "-"}, &stdout, &stderr); code != 1 {
 		t.Errorf("missing baseline: code %d, want 1", code)
 	}
-	if code := run([]string{"-micro", "-check", baseline}, &stdout, &stderr); code != 2 {
-		t.Errorf("-micro with -check: code %d, want 2", code)
-	}
-	if code := run([]string{"-micro", "-compare", baseline}, &stdout, &stderr); code != 2 {
-		t.Errorf("-micro with -compare: code %d, want 2", code)
-	}
 }
 
 // TestCPUProfileArtifact: -cpuprofile writes a non-empty profile of the

@@ -46,14 +46,13 @@ import (
 )
 
 // presets maps experiment shorthands (-run) to the predictor spec keys
-// their figures compare, mirroring the internal/experiments registry.
-// Budgets come from -warmup/-measure.
+// their figures read, so a preset job computes exactly the headline
+// cells of that figure. Budgets come from -warmup/-measure.
 var presets = map[string][]string{
 	"fig2":  {"64k", "inftage", "inftsl"},
-	"fig9":  {"64k", "llbp"},
-	"fig10": {"64k", "llbp"},
-	"fig12": {"64k", "llbp", "llbp0lat"},
-	"fig15": {"64k", "llbp"},
+	"fig9":  {"64k", "llbp", "llbp0lat", "512k"},
+	"fig10": {"64k", "llbp", "llbp0lat", "512k"},
+	"fig15": {"llbp"},
 }
 
 func main() {
@@ -188,7 +187,7 @@ func cmdSubmit(ctx context.Context, cl *client.Client, args []string, stdout, st
 	fs := flag.NewFlagSet("llbpctl submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		preset     = fs.String("run", "", "experiment preset (fig2, fig9, fig10, fig12, fig15)")
+		preset     = fs.String("run", "", "experiment preset (fig2, fig9, fig10, fig15)")
 		cells      = fs.String("cells", "", "explicit cells, comma-separated 'workload|predictor|warmup|measure' keys")
 		workloads  = fs.String("workloads", "all", "comma-separated workloads (or 'all')")
 		predictors = fs.String("predictors", "64k,llbp", "comma-separated predictor spec keys")

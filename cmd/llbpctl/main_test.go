@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"llbp/internal/experiments"
 	"llbp/internal/service"
+	"llbp/internal/sim"
 	"llbp/internal/telemetry"
+	"llbp/internal/workload"
 )
 
 // startService runs a real in-process llbpd (harness + server) and
@@ -145,9 +149,45 @@ func TestCtlErrors(t *testing.T) {
 }
 
 // TestCtlPresets: every preset expands to a non-empty cross product of
-// catalog workloads and registered predictor specs.
+// catalog workloads and registered predictor specs, and submits exactly
+// the predictor keys its figure reads: the figure, run on a harness
+// whose Remote records each requested cell, asks for those keys and no
+// others.
 func TestCtlPresets(t *testing.T) {
-	for name := range presets {
+	tomcat, err := workload.ByName("Tomcat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, keys := range presets {
+		exps, err := experiments.ByID(name)
+		if err != nil {
+			t.Errorf("preset %s: %v", name, err)
+			continue
+		}
+		var mu sync.Mutex
+		read := map[string]bool{}
+		h := experiments.NewHarness(experiments.Config{
+			Warmup: 1, Measure: 1, SweepWarmup: 1, SweepMeasure: 1,
+			Workloads: []*workload.Source{tomcat},
+			Remote: func(_ context.Context, cs experiments.CellSpec) (*experiments.RunOutput, error) {
+				mu.Lock()
+				read[cs.Predictor] = true
+				mu.Unlock()
+				return &experiments.RunOutput{Res: &sim.Result{MPKI: 1, Cycles: 1}}, nil
+			},
+		})
+		if _, err := exps[0].Run(h); err != nil {
+			t.Errorf("preset %s: running the figure: %v", name, err)
+			continue
+		}
+		want := map[string]bool{}
+		for _, k := range keys {
+			want[k] = true
+		}
+		if !maps.Equal(read, want) {
+			t.Errorf("preset %s submits %v, but its figure reads %v", name, keys, read)
+		}
+
 		cells, err := buildCells(name, "", "all", "", 100, 1000)
 		if err != nil {
 			t.Errorf("preset %s: %v", name, err)

@@ -1,5 +1,6 @@
 // Command llbpsim runs one predictor configuration over one (or all)
-// catalog workloads and prints MPKI and cycle metrics.
+// catalog workloads and prints MPKI and cycle metrics. -predictor names
+// a registered predictor spec (experiments.SpecKeys), case-insensitively.
 //
 // Usage:
 //
@@ -17,14 +18,12 @@ import (
 	"strings"
 
 	"llbp/internal/core"
-	"llbp/internal/gshare"
-	"llbp/internal/perceptron"
+	"llbp/internal/experiments"
 	"llbp/internal/predictor"
 	"llbp/internal/report"
 	"llbp/internal/sim"
 	"llbp/internal/telemetry"
 	"llbp/internal/trace"
-	"llbp/internal/tsl"
 	"llbp/internal/workload"
 )
 
@@ -39,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("llbpsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		predName   = fs.String("predictor", "64k", "predictor: 64k, 128k, 256k, 512k, 1m, inftage, inftsl, llbp, llbp0lat, llbpvirt, llbpgate, gshare, perceptron")
+		predName   = fs.String("predictor", "64k", "predictor: "+strings.Join(experiments.SpecKeys(), ", "))
 		wlName     = fs.String("workload", "all", "catalog workload name, or 'all'")
 		traceFile  = fs.String("trace", "", "replay a binary trace file instead of a catalog workload")
 		warmup     = fs.Uint64("warmup", 200_000, "warmup branches")
@@ -53,6 +52,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	spec, err := experiments.SpecByKey(strings.ToLower(*predName))
+	if err != nil {
+		fmt.Fprintln(stderr, "llbpsim:", err)
+		return 1
 	}
 
 	if *cpuProf != "" {
@@ -112,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"workload", "predictor", "instrs", "condBr", "misses", "MPKI", "IPC")
 	for wi, src := range sources {
 		clock := &predictor.Clock{}
-		p, err := buildPredictor(*predName, clock)
+		p, err := spec.Build(clock)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -235,46 +239,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// buildPredictor maps a CLI name to a predictor instance.
-func buildPredictor(name string, clock *predictor.Clock) (predictor.Predictor, error) {
-	switch strings.ToLower(name) {
-	case "64k":
-		return tsl.New(tsl.Config64K())
-	case "128k":
-		return tsl.New(tsl.ConfigScaled(1))
-	case "256k":
-		return tsl.New(tsl.ConfigScaled(2))
-	case "512k":
-		return tsl.New(tsl.ConfigScaled(3))
-	case "1m":
-		return tsl.New(tsl.ConfigScaled(4))
-	case "inftage":
-		return tsl.New(tsl.ConfigInfTAGE())
-	case "inftsl":
-		return tsl.New(tsl.ConfigInfTSL())
-	case "llbp":
-		return buildLLBP(core.DefaultConfig(), clock)
-	case "llbp0lat":
-		return buildLLBP(core.ZeroLatConfig(), clock)
-	case "llbpvirt":
-		return buildLLBP(core.VirtualizedConfig(), clock)
-	case "llbpgate":
-		return buildLLBP(core.AutoDisableConfig(), clock)
-	case "gshare":
-		return gshare.New(gshare.Default())
-	case "perceptron":
-		return perceptron.New(perceptron.Default())
-	default:
-		return nil, fmt.Errorf("llbpsim: unknown predictor %q", name)
-	}
-}
-
-func buildLLBP(cfg core.Config, clock *predictor.Clock) (predictor.Predictor, error) {
-	base, err := tsl.New(tsl.Config64K())
-	if err != nil {
-		return nil, err
-	}
-	return core.New(cfg, base, clock)
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"llbp/internal/experiments"
 	"llbp/internal/trace"
 )
 
@@ -132,5 +133,20 @@ func TestHappyPathSmallRun(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "Tomcat") {
 		t.Errorf("stdout missing result row: %q", stdout)
+	}
+}
+
+// TestEveryRegisteredPredictor: -predictor accepts every registered spec
+// key, and names case-insensitively.
+func TestEveryRegisteredPredictor(t *testing.T) {
+	for _, name := range append(experiments.SpecKeys(), "LLBP") {
+		code, stdout, stderr := runCLI(t, "-predictor", name, "-workload", "Tomcat", "-warmup", "1000", "-measure", "2000")
+		if code != 0 {
+			t.Errorf("-predictor %s: exit %d, stderr: %s", name, code, stderr)
+			continue
+		}
+		if !strings.Contains(stdout, "\nTomcat ") {
+			t.Errorf("-predictor %s: stdout missing result row: %q", name, stdout)
+		}
 	}
 }

@@ -184,6 +184,7 @@ func New(cfg Config, base *tsl.Predictor, clock *predictor.Clock) (*Predictor, e
 			t.win = uint64(1)<<uint(h.Len) - 1
 			// The narrower fold takes at least as many steps.
 			t.steps = uint8(history.FoldSteps(h.Len, cfg.TagBits-1))
+			t.twin = i+1 < len(cfg.HistLengths) && cfg.HistLengths[i+1].Len == h.Len
 		} else {
 			t.m1, t.m2 = l1.Mask, l2.Mask
 			t.w1, t.w2 = l1.Word, l2.Word
@@ -196,9 +197,9 @@ func New(cfg Config, base *tsl.Predictor, clock *predictor.Clock) (*Predictor, e
 
 // tagPlan is one history length's flattened tag-hash schedule, laid out
 // for sequential reads in matchPatterns' key-fill loops: for a direct
-// length the window mask and log-step count, for a packed one the two
-// fold locations (already resolved through lenFold); and the AltHash
-// flag.
+// length the window mask, log-step count and twin flag, for a packed one
+// the two fold locations (already resolved through lenFold); and the
+// AltHash flag.
 type tagPlan struct {
 	win    uint64 // direct: 1<<length - 1, the window bits folded
 	m1, m2 uint64 // packed: field masks
@@ -206,6 +207,7 @@ type tagPlan struct {
 	s1, s2 uint8
 	steps  uint8 // direct
 	alt    bool
+	twin   bool // direct: the next length is the same (its AltHash twin), so it reuses these folds
 }
 
 // MustNew is New panicking on error, for the always-valid package configs.
@@ -444,13 +446,14 @@ func (p *Predictor) matchPatterns(pc uint64) {
 	// Key fill: tagFor unrolled over the flattened plan with the plan, the
 	// fold sources and the key array in locals (tagFor is the reference
 	// formulation of the same hash). A direct length folds the recent
-	// window, masked once to its length, at both tag widths; a packed
-	// length costs two indexed loads. The re-slice proves keys[li] in
-	// range (Validate caps the lengths at maxLengths). Every shift count
-	// is below 64 (a fold's field lies inside its 64-bit word, schedule
-	// counts are at most 63, and the tag mask and rotate shift by TagBits
-	// and TagBits-3, with TagBits ≤ 31), so masking the counts with 63
-	// changes no value and lets the compiler drop its shift guards.
+	// window, masked once to its length, at both tag widths, and its
+	// AltHash twin reuses those folds; a packed length costs two indexed
+	// loads. The re-slice proves keys[li] in range (Validate caps the
+	// lengths at maxLengths). Every shift count is below 64 (a fold's
+	// field lies inside its 64-bit word, schedule counts are at most 63,
+	// and the tag mask and rotate shift by TagBits and TagBits-3, with
+	// TagBits ≤ 31), so masking the counts with 63 changes no value and
+	// lets the compiler drop its shift guards.
 	plan := p.tagPlan
 	keys := p.wantKeys[:len(plan)]
 	mask := uint64(1)<<(uint(p.cfg.TagBits)&63) - 1
@@ -459,13 +462,17 @@ func (p *Predictor) matchPatterns(pc uint64) {
 	direct := plan[:p.nDirect]
 	rec := p.eng.Recent()
 	s1, s2 := &p.sched1, &p.sched2
-	for li := range direct {
+	for li := 0; li < len(direct); li++ {
 		t := &direct[li]
 		x, n := rec&t.win, int(t.steps)
 		// The folds' field masks are mask and mask>>1.
 		f1 := s1.Fold(x, n) & mask
 		f2 := s2.Fold(x, n) & (mask >> 1)
 		keys[li] = patternKey(li, base, f1, f2, mask, rot, t.alt)
+		if t.twin {
+			li++
+			keys[li] = patternKey(li, base, f1, f2, mask, rot, direct[li].alt)
+		}
 	}
 	words := p.eng.Words()
 	for li := len(direct); li < len(plan); li++ {

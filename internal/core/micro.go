@@ -8,9 +8,9 @@ import (
 // Microbench is one named component benchmark of the LLBP per-branch hot
 // path. Run executes n back-to-back iterations of the component
 // operation on pre-built predictor state — setup cost is paid when the
-// closure is constructed, not inside Run — so callers wrap Run directly
-// in testing.Benchmark (benchreplay -micro) or call it from a package
-// benchmark.
+// closure is constructed, not inside Run — so callers time Run directly:
+// BenchmarkMicro under `go test -bench`, perfbench's traced run in
+// thread CPU.
 type Microbench struct {
 	Name string
 	Run  func(n int)

@@ -3,8 +3,7 @@ package core
 import "testing"
 
 // BenchmarkMicro exposes the per-component hot-path benchmarks to
-// `go test -bench` under stable sub-benchmark names; benchreplay -micro
-// runs the same closures.
+// `go test -bench` under stable sub-benchmark names.
 func BenchmarkMicro(b *testing.B) {
 	for _, m := range Microbenches() {
 		b.Run(m.Name, func(b *testing.B) { m.Run(b.N) })

@@ -7,6 +7,10 @@ import (
 	"strconv"
 	"strings"
 
+	"llbp/internal/core"
+	"llbp/internal/gshare"
+	"llbp/internal/perceptron"
+	"llbp/internal/tage"
 	"llbp/internal/workload"
 )
 
@@ -64,19 +68,26 @@ func (c CellSpec) Validate() error {
 	return nil
 }
 
-// specFactories maps predictor spec keys to their builders. Every spec
-// the standard experiments simulate is reachable here, so any journaled
-// or served cell can be re-materialized from its key alone.
+// specFactories is the one table of named predictors. Every CLI name,
+// job and session cell and bench family resolves through SpecByKey, so
+// any journaled or served cell can be re-materialized from its key
+// alone. The parameterized points the sweeps build (colon keys such as
+// "llbp:pb=16") stay private to those experiments.
 var specFactories = map[string]func() PredictorSpec{
-	"64k":      Spec64K,
-	"128k":     Spec128K,
-	"256k":     Spec256K,
-	"512k":     Spec512K,
-	"1m":       Spec1M,
-	"inftage":  SpecInfTAGE,
-	"inftsl":   SpecInfTSL,
-	"llbp":     SpecLLBPDefault,
-	"llbp0lat": SpecLLBP0Lat,
+	"tage":       func() PredictorSpec { return specOf("tage", tage.New, tage.DefaultConfig()) },
+	"64k":        Spec64K,
+	"128k":       Spec128K,
+	"256k":       Spec256K,
+	"512k":       Spec512K,
+	"1m":         Spec1M,
+	"inftage":    SpecInfTAGE,
+	"inftsl":     SpecInfTSL,
+	"llbp":       SpecLLBPDefault,
+	"llbp0lat":   SpecLLBP0Lat,
+	"llbpvirt":   func() PredictorSpec { return SpecLLBP("llbpvirt", core.VirtualizedConfig()) },
+	"llbpgate":   func() PredictorSpec { return SpecLLBP("llbpgate", core.AutoDisableConfig()) },
+	"gshare":     func() PredictorSpec { return specOf("gshare", gshare.New, gshare.Default()) },
+	"perceptron": func() PredictorSpec { return specOf("perceptron", perceptron.New, perceptron.Default()) },
 }
 
 // SpecByKey resolves a predictor spec key ("64k", "llbp", ...) to its

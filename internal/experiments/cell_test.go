@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"llbp/internal/predictor"
+	"llbp/internal/sim"
 	"llbp/internal/workload"
 )
 
@@ -28,12 +30,17 @@ func TestCellSpecKeyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecByKey: every registered key builds a working predictor spec
-// whose Key matches the registry key; unknown keys error.
+// TestSpecByKey: every registered key builds a predictor whose spec Key
+// matches the registry key and that replays a short run; unknown keys
+// error.
 func TestSpecByKey(t *testing.T) {
 	keys := SpecKeys()
-	if len(keys) < 9 {
-		t.Fatalf("SpecKeys() = %v, want at least the 9 standard specs", keys)
+	if len(keys) < 14 {
+		t.Fatalf("SpecKeys() = %v, want at least the 14 registered specs", keys)
+	}
+	wl, err := workload.ByName("Tomcat")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, k := range keys {
 		ps, err := SpecByKey(k)
@@ -43,8 +50,17 @@ func TestSpecByKey(t *testing.T) {
 		if ps.Key != k {
 			t.Errorf("spec %q reports key %q", k, ps.Key)
 		}
-		if ps.Build == nil {
-			t.Errorf("spec %q has no builder", k)
+		clock := &predictor.Clock{}
+		p, err := ps.Build(clock)
+		if err != nil {
+			t.Fatalf("spec %q: build: %v", k, err)
+		}
+		res, err := sim.Run(wl, p, sim.Options{WarmupBranches: 1_000, MeasureBranches: 1_000, Clock: clock})
+		if err != nil {
+			t.Fatalf("spec %q: run: %v", k, err)
+		}
+		if res.CondBranches == 0 {
+			t.Errorf("spec %q measured no conditional branches", k)
 		}
 	}
 	if _, err := SpecByKey("tage9000"); err == nil {

@@ -253,26 +253,26 @@ type PredictorSpec struct {
 	Build func(clock *predictor.Clock) (predictor.Predictor, error)
 }
 
-// Standard specs.
-func specTSL(label string, cfg tsl.Config) PredictorSpec {
+// specOf names the clock-free predictor newFn builds from cfg.
+func specOf[C any, P predictor.Predictor](key string, newFn func(C) (P, error), cfg C) PredictorSpec {
 	return PredictorSpec{
-		Key: label,
+		Key: key,
 		Build: func(*predictor.Clock) (predictor.Predictor, error) {
-			return tsl.New(cfg)
+			return newFn(cfg)
 		},
 	}
 }
 
 // Spec64K .. SpecInfTSL are the TAGE-SC-L family of §VI.
-func Spec64K() PredictorSpec  { return specTSL("64k", tsl.Config64K()) }
-func Spec128K() PredictorSpec { return specTSL("128k", tsl.ConfigScaled(1)) }
-func Spec256K() PredictorSpec { return specTSL("256k", tsl.ConfigScaled(2)) }
-func Spec512K() PredictorSpec { return specTSL("512k", tsl.ConfigScaled(3)) }
-func Spec1M() PredictorSpec   { return specTSL("1m", tsl.ConfigScaled(4)) }
+func Spec64K() PredictorSpec  { return specOf("64k", tsl.New, tsl.Config64K()) }
+func Spec128K() PredictorSpec { return specOf("128k", tsl.New, tsl.ConfigScaled(1)) }
+func Spec256K() PredictorSpec { return specOf("256k", tsl.New, tsl.ConfigScaled(2)) }
+func Spec512K() PredictorSpec { return specOf("512k", tsl.New, tsl.ConfigScaled(3)) }
+func Spec1M() PredictorSpec   { return specOf("1m", tsl.New, tsl.ConfigScaled(4)) }
 func SpecInfTAGE() PredictorSpec {
-	return specTSL("inftage", tsl.ConfigInfTAGE())
+	return specOf("inftage", tsl.New, tsl.ConfigInfTAGE())
 }
-func SpecInfTSL() PredictorSpec { return specTSL("inftsl", tsl.ConfigInfTSL()) }
+func SpecInfTSL() PredictorSpec { return specOf("inftsl", tsl.New, tsl.ConfigInfTSL()) }
 
 // SpecLLBP builds an LLBP spec with the given core configuration; key must
 // uniquely describe cfg.

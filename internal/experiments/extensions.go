@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"llbp/internal/core"
-	"llbp/internal/gshare"
-	"llbp/internal/perceptron"
-	"llbp/internal/predictor"
 	"llbp/internal/report"
 	"llbp/internal/stats"
 )
@@ -69,7 +66,7 @@ func ExtAutoDisable(h *Harness) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gated, err := h.RunSweep(wl, SpecLLBP("llbp:autodisable", core.AutoDisableConfig()))
+		gated, err := h.RunSweep(wl, specFactories["llbpgate"]())
 		if err != nil {
 			return nil, err
 		}
@@ -89,32 +86,13 @@ func ExtAutoDisable(h *Harness) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// specGshare and specPerceptron build the pre-TAGE baselines.
-func specGshare() PredictorSpec {
-	return PredictorSpec{
-		Key: "gshare",
-		Build: func(*predictor.Clock) (predictor.Predictor, error) {
-			return gshare.New(gshare.Default())
-		},
-	}
-}
-
-func specPerceptron() PredictorSpec {
-	return PredictorSpec{
-		Key: "perceptron",
-		Build: func(*predictor.Clock) (predictor.Predictor, error) {
-			return perceptron.New(perceptron.Default())
-		},
-	}
-}
-
 // ExtBaselines positions the whole baseline spectrum the paper's related
 // work discusses (§VIII) on the Table I workloads: gshare and the
 // perceptron (pre-TAGE designs) against 64K TSL and 64K TSL + LLBP. TAGE
 // must dominate the single-table and linear predictors on server
 // workloads, and LLBP extends TAGE.
 func ExtBaselines(h *Harness) ([]*report.Table, error) {
-	specs := []PredictorSpec{specGshare(), specPerceptron(), Spec64K(), SpecLLBPDefault()}
+	specs := []PredictorSpec{specFactories["gshare"](), specFactories["perceptron"](), Spec64K(), SpecLLBPDefault()}
 	t := report.New("Extension: baseline spectrum — MPKI",
 		"workload", "gshare", "perceptron", "64K-TSL", "LLBP")
 	cols := make(map[string][]float64, len(specs))

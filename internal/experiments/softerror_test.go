@@ -138,7 +138,7 @@ func TestRunFaultedRequiresSurface(t *testing.T) {
 		SweepWarmup: 1_000, SweepMeasure: 2_000,
 		Workloads: []*workload.Source{tomcat},
 	})
-	_, err = h.RunFaulted(tomcat, specGshare(), FaultSpec{Rate: 1000})
+	_, err = h.RunFaulted(tomcat, specFactories["gshare"](), FaultSpec{Rate: 1000})
 	if err == nil {
 		t.Fatal("gshare has no fault surface; RunFaulted must error")
 	}

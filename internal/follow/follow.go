@@ -18,10 +18,9 @@ type ReadFunc[T any] func(pos int) (entries []T, latest T, latestSeq uint64, ter
 type Follower[T any] struct {
 	Unit       string // one entry's name ("event", "frame") in cursor errors
 	LatestFlag string // query flag opting a follower into the latest entry; "" sends it to all
-	// WriteTimeout is each write's deadline, read off Now; a reader that
-	// misses it is dropped as a slow client. 0 sets none.
+	// WriteTimeout is each write's deadline; a reader that misses it is
+	// dropped as a slow client. 0 sets none.
 	WriteTimeout time.Duration
-	Now          func() time.Time
 	Chaos        *chaos.Injector // arms the stream.drop site
 	Logf         func(format string, args ...any)
 	// Stream instruments (nil ones are no-ops); the gap is how many
@@ -66,7 +65,8 @@ func (f *Follower[T]) Serve(w http.ResponseWriter, r *http.Request, name string,
 			panic(http.ErrAbortHandler)
 		}
 		if f.WriteTimeout > 0 {
-			_ = rc.SetWriteDeadline(f.Now().Add(f.WriteTimeout))
+			//llbplint:allow determinism -- socket write deadlines are absolute wall-clock times
+			_ = rc.SetWriteDeadline(time.Now().Add(f.WriteTimeout))
 		}
 		err := encode(enc, v)
 		if err != nil && f.WriteTimeout > 0 {

@@ -225,7 +225,7 @@ func New(opt Options) (*Server, error) {
 		submitDepth: reg.Histogram("service_submit_queue_depth", telemetry.LinearBuckets(0, 4, 9)),
 	}
 	s.results = follow.Follower[StreamEvent]{
-		Unit: "event", WriteTimeout: opt.StreamWriteTimeout, Now: opt.Now, Chaos: opt.Chaos, Logf: opt.Logf,
+		Unit: "event", WriteTimeout: opt.StreamWriteTimeout, Chaos: opt.Chaos, Logf: opt.Logf,
 		Resumes:     reg.Counter("service_stream_resumes"),
 		ResumeGap:   reg.Histogram("service_stream_resume_gap_events", telemetry.ExponentialBuckets(1, 2, 8)),
 		SlowClients: reg.Counter("service_streams_slow_client"),

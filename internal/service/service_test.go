@@ -196,6 +196,41 @@ func TestHappyPath(t *testing.T) {
 	}
 }
 
+// TestResultsStreamUnderFakeClock: the injected clock times leases only,
+// so a server on a frozen clock with a write timeout still streams a
+// finished job's results.
+func TestResultsStreamUnderFakeClock(t *testing.T) {
+	s, err := New(Options{
+		Runner:             newFakeRunner(),
+		StreamWriteTimeout: time.Minute,
+		Now:                func() time.Time { return time.Unix(1000, 0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain(context.Background())
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	st, _, err := s.Submit(request(tinyCells(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s, st.ID, StateDone)
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + st.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(body), "\n"); n != 3 {
+		t.Fatalf("stream = %d lines, want 2 cells + done: %q", n, body)
+	}
+}
+
 // TestFailedCellsFailSoft: a failing cell produces an error event and a
 // "failed" terminal state; the other cells still complete.
 func TestFailedCellsFailSoft(t *testing.T) {

@@ -335,3 +335,33 @@ func TestStreamCounters(t *testing.T) {
 		t.Errorf("a read without from= counted as a resume (%d)", n)
 	}
 }
+
+// TestStreamUnderFakeClock: the injected clock times leases only, so a
+// manager on a frozen clock still serves its verdict stream within the
+// default write timeout.
+func TestStreamUnderFakeClock(t *testing.T) {
+	wl, err := workload.ByName("Tomcat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Options{
+		Forker:   experiments.NewHarness(experiments.Config{Warmup: 5_000, Measure: 10_000, Workloads: []*workload.Source{wl}}),
+		LeaseTTL: time.Minute,
+		Now:      func() time.Time { return time.Unix(1000, 0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	st, err := m.Open(t.Context(), Request{Schema: Schema, Predictor: "64k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, code := pushFrames(t, ts, st.ID, testStream(t, 0, 3, 100)); code != http.StatusOK || sum.Applied != 3 {
+		t.Fatalf("push: %d %+v", code, sum)
+	}
+	if _, frames := readStream(t, ts, st.ID, ""); len(frames) != 3 {
+		t.Fatalf("stream returned %d frames, want 3", len(frames))
+	}
+}

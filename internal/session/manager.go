@@ -43,7 +43,8 @@ type Options struct {
 	CheckpointBranches uint64
 	// MaxSessions bounds concurrently open sessions (default 64).
 	MaxSessions int
-	// Now is the clock (default time.Now); tests inject a fake.
+	// Now is the lease clock (default time.Now); tests inject a fake.
+	// Stream write deadlines read the wall clock.
 	Now func() time.Time
 	// Chaos, when non-nil, arms the session failure-injection sites
 	// (stream.drop, worker.stall, journal.tear).
@@ -143,7 +144,7 @@ func New(opt Options) (*Manager, error) {
 	reg := opt.Registry
 	m.stream = follow.Follower[OutFrame]{
 		Unit: "frame", LatestFlag: "telemetry", WriteTimeout: opt.StreamWriteTimeout,
-		Now: opt.Now, Chaos: opt.Chaos, Logf: opt.Logf,
+		Chaos: opt.Chaos, Logf: opt.Logf,
 		Resumes:     reg.Counter("session_stream_resumes"),
 		ResumeGap:   reg.Histogram("session_stream_resume_gap_frames", telemetry.ExponentialBuckets(1, 2, 8)),
 		SlowClients: reg.Counter("session_streams_slow_client"),

@@ -465,16 +465,23 @@ func TestForkWarmSharing(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesReplay: an LLBP session and a batch replay of the
-// same branches, each on a fork of one warm snapshot, emit the same
-// verdict bytes batch for batch. LLBP times its prefetches on the
-// simulated clock and squashes them on pipeline resets, so any drift
-// between the session's step and sim.Run's shows up here.
+// TestSessionMatchesReplay: a session and a batch replay of the same
+// branches, each on a fork of one warm snapshot, emit the same verdict
+// bytes batch for batch. LLBP times its prefetches on the simulated
+// clock and squashes them on pipeline resets, so any drift between the
+// session's step and sim.Run's shows up here; gshare is a registered
+// predictor outside the TAGE family.
 func TestSessionMatchesReplay(t *testing.T) {
+	for _, key := range []string{"llbp", "gshare"} {
+		t.Run(key, func(t *testing.T) { sessionMatchesReplay(t, key) })
+	}
+}
+
+func sessionMatchesReplay(t *testing.T, key string) {
 	const warmup, nBatches, batchLen = 2_000, 20, 500
 	m := testManager(t, "")
 	ctx := context.Background()
-	st, err := m.Open(ctx, Request{Schema: Schema, Predictor: "llbp", Workload: "Tomcat", Warmup: warmup})
+	st, err := m.Open(ctx, Request{Schema: Schema, Predictor: key, Workload: "Tomcat", Warmup: warmup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +494,7 @@ func TestSessionMatchesReplay(t *testing.T) {
 	// The replay twin: a fork of the same warm snapshot, driven by
 	// sim.Run over the same branches; an observer collects each batch's
 	// verdict bytes.
-	p, clock, err := m.opt.Forker.ForkWarm(ctx, "Tomcat", "llbp", warmup)
+	p, clock, err := m.opt.Forker.ForkWarm(ctx, "Tomcat", key, warmup)
 	if err != nil {
 		t.Fatal(err)
 	}

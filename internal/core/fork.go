@@ -40,7 +40,6 @@ func (p *Predictor) Fork(clock *predictor.Clock) predictor.Predictor {
 	// child shares them.
 	out.eng = p.eng.Clone()
 	out.base.TAGE().RebindHistoryEngine(out.eng)
-	out.tel = coreTel{}
 	// The per-prediction scratch points into the parent's pattern
 	// buffer; at a branch boundary it is dead, so the child starts with
 	// it cleared rather than aliased.

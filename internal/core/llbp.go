@@ -6,7 +6,6 @@ import (
 	"llbp/internal/assert"
 	"llbp/internal/history"
 	"llbp/internal/predictor"
-	"llbp/internal/telemetry"
 	"llbp/internal/trace"
 	"llbp/internal/tsl"
 )
@@ -89,7 +88,6 @@ type Predictor struct {
 	sched1, sched2 history.Schedule
 
 	stats  Stats
-	tel    coreTel
 	detail predictor.Detail
 
 	// lastCCID detects CCID transitions for Stats.CtxSwitches.
@@ -134,6 +132,7 @@ var (
 	_ predictor.Predictor  = (*Predictor)(nil)
 	_ predictor.Detailer   = (*Predictor)(nil)
 	_ predictor.Resettable = (*Predictor)(nil)
+	_ predictor.Counted    = (*Predictor)(nil)
 )
 
 // New composes an LLBP instance over the given baseline predictor. The
@@ -233,71 +232,44 @@ func (p *Predictor) Config() Config { return p.cfg }
 // Base returns the underlying baseline predictor.
 func (p *Predictor) Base() *tsl.Predictor { return p.base }
 
-// Stats returns a snapshot of the event counters, including the derived
-// structure-occupancy fields (CDLive, PBLive, CDEvictions) computed at
-// snapshot time. It is the public observability surface of the composite
-// predictor; internal structures are not exposed.
+// Stats returns a snapshot of the event counters, including the fields
+// derived at snapshot time: CDLive, PBLive, CDEvictions, and
+// CondPredictions, the baseline's count (every Predict asks it first).
+// It is the composite's public observability surface.
 func (p *Predictor) Stats() Stats {
 	s := p.stats
+	s.CondPredictions = p.base.Stats().Predictions
 	s.CDEvictions = p.dir.Evictions()
 	s.CDLive = p.dir.Live()
 	s.PBLive = p.pb.Live()
 	return s
 }
 
-// coreTel mirrors the hot-path event counters into a telemetry registry.
-// Every field is a nil-safe instrument: with no registry attached each
-// increment is a single nil check.
-type coreTel struct {
-	pbHits         *telemetry.Counter
-	pbLate         *telemetry.Counter
-	pbMisses       *telemetry.Counter
-	prefetchIssued *telemetry.Counter
-	prefetchFilled *telemetry.Counter
-	prefetchWasted *telemetry.Counter
-	ctxSwitches    *telemetry.Counter
-	cdLookups      *telemetry.Counter
-	ctxAllocs      *telemetry.Counter
-	patternAllocs  *telemetry.Counter
-	llbpReads      *telemetry.Counter
-	llbpWrites     *telemetry.Counter
-	matches        *telemetry.Counter
-	overrides      *telemetry.Counter
-	goodOverride   *telemetry.Counter
-	badOverride    *telemetry.Counter
-	resets         *telemetry.Counter
-	squashes       *telemetry.Counter
-	disableEvents  *telemetry.Counter
-	disabledPreds  *telemetry.Counter
-}
-
-// AttachTelemetry registers LLBP's counters with reg and cascades to the
-// baseline predictor. A nil registry detaches (all instruments become
-// no-ops). Implements telemetry.Attachable.
-func (p *Predictor) AttachTelemetry(reg *telemetry.Registry) {
-	p.tel = coreTel{
-		pbHits:         reg.Counter("pb_hits"),
-		pbLate:         reg.Counter("pb_late"),
-		pbMisses:       reg.Counter("pb_misses"),
-		prefetchIssued: reg.Counter("prefetch_issued"),
-		prefetchFilled: reg.Counter("prefetch_filled"),
-		prefetchWasted: reg.Counter("prefetch_wasted"),
-		ctxSwitches:    reg.Counter("rcr_ctx_switches"),
-		cdLookups:      reg.Counter("cd_lookups"),
-		ctxAllocs:      reg.Counter("cd_ctx_allocs"),
-		patternAllocs:  reg.Counter("llbp_pattern_allocs"),
-		llbpReads:      reg.Counter("llbp_reads"),
-		llbpWrites:     reg.Counter("llbp_writes"),
-		matches:        reg.Counter("llbp_matches"),
-		overrides:      reg.Counter("llbp_overrides"),
-		goodOverride:   reg.Counter("llbp_good_overrides"),
-		badOverride:    reg.Counter("llbp_bad_overrides"),
-		resets:         reg.Counter("pipeline_resets"),
-		squashes:       reg.Counter("prefetch_squashes"),
-		disableEvents:  reg.Counter("llbp_disable_events"),
-		disabledPreds:  reg.Counter("llbp_disabled_predictions"),
-	}
-	p.base.AttachTelemetry(reg)
+// ReportCounts implements predictor.Counted: LLBP's event counters under
+// their metric names, then the baseline's.
+func (p *Predictor) ReportCounts(sink predictor.CountSink) {
+	s := &p.stats
+	sink.Count("pb_hits", s.PBHits)
+	sink.Count("pb_late", s.NotReady)
+	sink.Count("pb_misses", s.PBMisses)
+	sink.Count("prefetch_issued", s.PrefetchIssued)
+	sink.Count("prefetch_filled", s.PrefetchFilled)
+	sink.Count("prefetch_wasted", s.PrefetchWasted)
+	sink.Count("rcr_ctx_switches", s.CtxSwitches)
+	sink.Count("cd_lookups", s.CDLookups)
+	sink.Count("cd_ctx_allocs", s.CtxAllocs)
+	sink.Count("llbp_pattern_allocs", s.PatternAllocs)
+	sink.Count("llbp_reads", s.LLBPReads)
+	sink.Count("llbp_writes", s.LLBPWrites)
+	sink.Count("llbp_matches", s.Matches)
+	sink.Count("llbp_overrides", s.Overrides)
+	sink.Count("llbp_good_overrides", s.GoodOverride)
+	sink.Count("llbp_bad_overrides", s.BadOverride)
+	sink.Count("pipeline_resets", s.Resets)
+	sink.Count("prefetch_squashes", s.Squashes)
+	sink.Count("llbp_disable_events", s.DisableEvents)
+	sink.Count("llbp_disabled_predictions", s.DisabledPredictions)
+	p.base.ReportCounts(sink)
 }
 
 // tagFor computes the pattern tag for pc at history-length index lenIdx.
@@ -317,7 +289,6 @@ func (p *Predictor) tagFor(pc uint64, lenIdx int) uint32 {
 // Predict implements predictor.Predictor: the baseline predicts, the PB is
 // probed with the current context ID, and the longest match wins (§V-B).
 func (p *Predictor) Predict(pc uint64) bool {
-	p.stats.CondPredictions++
 	p.lastPC = pc
 	p.baseTaken = p.base.Predict(pc)
 	p.tageTaken = p.base.TAGE().LastTaken()
@@ -332,7 +303,6 @@ func (p *Predictor) Predict(pc uint64) bool {
 		// predicts alone. Histories and the RCR keep running (cheap
 		// registers), so re-enabling is seamless.
 		p.stats.DisabledPredictions++
-		p.tel.disabledPreds.Inc()
 		p.matched, p.llbpWins, p.override = false, false, false
 		p.pbe = nil
 		p.finalTaken = p.baseTaken
@@ -347,23 +317,19 @@ func (p *Predictor) Predict(pc uint64) bool {
 	switch {
 	case p.pbe != nil && p.pbe.Ready <= p.clock.NowF():
 		p.stats.PBHits++
-		p.tel.pbHits.Inc()
 		p.touchPB(p.pbe)
 		p.matchPatterns(pc)
 	case p.pbe != nil:
 		p.stats.NotReady++
-		p.tel.pbLate.Inc()
 		p.pbe = nil // unusable this cycle
 	default:
 		p.stats.PBMisses++
-		p.tel.pbMisses.Inc()
 	}
 
 	p.override, p.llbpWins = false, false
 	p.finalTaken = p.baseTaken
 	if p.matched {
 		p.stats.Matches++
-		p.tel.matches.Inc()
 		p.windowMatch++
 		p.llbpWins = p.cfg.HistLengths[p.llbpLenIdx].Len >= p.tageLen
 		// Longest history wins (§V-B); but a newly allocated,
@@ -377,7 +343,6 @@ func (p *Predictor) Predict(pc uint64) bool {
 			p.override = true
 			p.finalTaken = p.llbpTaken
 			p.stats.Overrides++
-			p.tel.overrides.Inc()
 		} else {
 			p.stats.NoOverride++
 		}
@@ -427,7 +392,6 @@ func (p *Predictor) tickGate() {
 			p.gateOff = true
 			p.sleepLeft = 4
 			p.stats.DisableEvents++
-			p.tel.disableEvents.Inc()
 		}
 	}
 	p.windowGood, p.windowBad, p.windowMatch, p.windowMisses = 0, 0, 0, 0
@@ -551,11 +515,9 @@ func (p *Predictor) UpdateWithTarget(pc, target uint64, taken bool) {
 		switch {
 		case !baseRight && llbpRight:
 			p.stats.GoodOverride++
-			p.tel.goodOverride.Inc()
 			p.windowGood++
 		case baseRight && !llbpRight:
 			p.stats.BadOverride++
-			p.tel.badOverride.Inc()
 			p.windowBad++
 		case baseRight && llbpRight:
 			p.stats.BothCorrect++
@@ -647,12 +609,10 @@ func (p *Predictor) allocate(pc uint64, taken bool, provLen int) {
 		var evicted bool
 		ent, evictedCID, evicted = p.dir.Insert(p.cid)
 		p.stats.CtxAllocs++
-		p.tel.ctxAllocs.Inc()
 		if evicted {
 			if old := p.pb.Invalidate(evictedCID); old.Valid {
 				if old.Dirty {
 					p.stats.LLBPWrites++
-					p.tel.llbpWrites.Inc()
 				}
 				p.noteEvicted(old)
 			}
@@ -673,7 +633,6 @@ func (p *Predictor) allocate(pc uint64, taken bool, provLen int) {
 	pbe.Dirty = true
 	p.dir.RefreshConf(ent)
 	p.stats.PatternAllocs++
-	p.tel.patternAllocs.Inc()
 }
 
 // fetchIntoPB models a pattern-set transfer from LLBP storage to the PB,
@@ -682,16 +641,13 @@ func (p *Predictor) allocate(pc uint64, taken bool, provLen int) {
 // from the allocation path pass false).
 func (p *Predictor) fetchIntoPB(cid uint64, ent *CDEntry, delay float64, prefetch bool) *PBEntry {
 	p.stats.LLBPReads++
-	p.tel.llbpReads.Inc()
 	if prefetch {
 		p.stats.PrefetchIssued++
-		p.tel.prefetchIssued.Inc()
 	}
 	ins, ev := p.pb.Insert(cid, ent, p.clock.NowF()+delay)
 	if ev.Valid {
 		if ev.Dirty {
 			p.stats.LLBPWrites++
-			p.tel.llbpWrites.Inc()
 			p.dir.RefreshConf(ev.Ent)
 		}
 		p.noteEvicted(ev)
@@ -705,7 +661,6 @@ func (p *Predictor) fetchIntoPB(cid uint64, ent *CDEntry, delay float64, prefetc
 func (p *Predictor) touchPB(e *PBEntry) {
 	if e.Prefetched && !e.Touched {
 		p.stats.PrefetchFilled++
-		p.tel.prefetchFilled.Inc()
 	}
 	e.Touched = true
 }
@@ -715,7 +670,6 @@ func (p *Predictor) touchPB(e *PBEntry) {
 func (p *Predictor) noteEvicted(ev PBEntry) {
 	if ev.Prefetched && !ev.Touched {
 		p.stats.PrefetchWasted++
-		p.tel.prefetchWasted.Inc()
 	}
 }
 
@@ -727,7 +681,6 @@ func (p *Predictor) noteContextFeed() {
 	}
 	if p.haveCCID {
 		p.stats.CtxSwitches++
-		p.tel.ctxSwitches.Inc()
 	}
 	p.lastCCID, p.haveCCID = ccid, true
 }
@@ -753,7 +706,6 @@ func (p *Predictor) onContextSwitch() {
 		return // powered down: no CD searches or prefetches
 	}
 	p.stats.CDLookups++
-	p.tel.cdLookups.Inc()
 	pcid := p.rcr.PrefetchCID()
 	if ent := p.dir.Lookup(pcid); ent != nil && p.pb.Lookup(pcid) == nil {
 		p.fetchIntoPB(pcid, ent, p.cfg.PrefetchDelay, true)
@@ -782,14 +734,11 @@ func (p *Predictor) pushHistory(taken bool) {
 func (p *Predictor) OnPipelineReset() {
 	now := p.clock.NowF()
 	p.stats.Resets++
-	p.tel.resets.Inc()
 	squashed := uint64(p.pb.SquashInflight(now))
 	p.stats.Squashes += squashed
-	p.tel.squashes.Add(squashed)
 	// Squashed in-flight fetches are by construction untouched prefetches
 	// (demand fetches complete immediately), so they count as wasted.
 	p.stats.PrefetchWasted += squashed
-	p.tel.prefetchWasted.Add(squashed)
 	ccid := p.rcr.CCID()
 	if p.pb.Lookup(ccid) == nil {
 		if ent := p.dir.Lookup(ccid); ent != nil {

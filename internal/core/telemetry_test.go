@@ -1,10 +1,16 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"llbp/internal/lint"
+	"llbp/internal/predictor"
+	"llbp/internal/sim"
 	"llbp/internal/telemetry"
 	"llbp/internal/trace"
+	"llbp/internal/tsl"
+	"llbp/internal/workload"
 )
 
 // driveStream pushes a deterministic mixed branch stream through the
@@ -31,19 +37,19 @@ func driveStream(p *Predictor, clock interface{ Advance(float64) }, branches int
 	}
 }
 
-// TestTelemetryMirrorsStats checks that the telemetry counters registered
-// by AttachTelemetry stay in lockstep with the public Stats() snapshot —
-// the two observability surfaces must agree.
+// TestTelemetryMirrorsStats checks that the counters ReportCounts
+// publishes through a telemetry.Publisher agree with the public Stats()
+// snapshot — the two observability surfaces must agree.
 func TestTelemetryMirrorsStats(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PBEntries = 8 // small PB: churn forces real prefetch traffic
 	p, clock := newTestLLBP(t, cfg)
 	reg := telemetry.NewRegistry()
-	if !telemetry.Attach(reg, p) {
-		t.Fatal("core.Predictor must implement telemetry.Attachable")
-	}
+	pub := telemetry.NewPublisher(reg)
+	p.ReportCounts(pub) // baseline
 	driveStream(p, clock, 60000)
 	p.OnPipelineReset()
+	p.ReportCounts(pub)
 
 	s := p.Stats()
 	snap := reg.Snapshot()
@@ -72,10 +78,116 @@ func TestTelemetryMirrorsStats(t *testing.T) {
 		t.Errorf("stream too tame: pbHits=%d prefetchIssued=%d ctxSwitches=%d",
 			s.PBHits, s.PrefetchIssued, s.CtxSwitches)
 	}
-	// The baseline cascade must have registered too.
+	// The baseline cascade must have published too.
 	if snap.Counters["tsl_predictions"] == 0 {
-		t.Error("AttachTelemetry must cascade to the baseline TSL")
+		t.Error("ReportCounts must cascade to the baseline TSL")
 	}
+	checkMetricNames(t, snap)
+}
+
+// checkMetricNames checks every published name against the pattern the
+// telemetrysafe analyzer applies to literal instrument names: reported
+// names reach the registry at run time, where the analyzer cannot see
+// them.
+func checkMetricNames(t *testing.T, snap telemetry.Snapshot) {
+	t.Helper()
+	for name := range snap.Counters {
+		if !lint.SnakeCase.MatchString(name) {
+			t.Errorf("counter name %q is not snake_case", name)
+		}
+	}
+	for name := range snap.Histograms {
+		if !lint.SnakeCase.MatchString(name) {
+			t.Errorf("histogram name %q is not snake_case", name)
+		}
+	}
+}
+
+// publishedCounters maps every counter an llbp composite reports to its
+// value in the composite's and the baseline's Stats.
+func publishedCounters(s Stats, b tsl.Stats) map[string]uint64 {
+	return map[string]uint64{
+		"pb_hits":                   s.PBHits,
+		"pb_late":                   s.NotReady,
+		"pb_misses":                 s.PBMisses,
+		"prefetch_issued":           s.PrefetchIssued,
+		"prefetch_filled":           s.PrefetchFilled,
+		"prefetch_wasted":           s.PrefetchWasted,
+		"rcr_ctx_switches":          s.CtxSwitches,
+		"cd_lookups":                s.CDLookups,
+		"cd_ctx_allocs":             s.CtxAllocs,
+		"llbp_pattern_allocs":       s.PatternAllocs,
+		"llbp_reads":                s.LLBPReads,
+		"llbp_writes":               s.LLBPWrites,
+		"llbp_matches":              s.Matches,
+		"llbp_overrides":            s.Overrides,
+		"llbp_good_overrides":       s.GoodOverride,
+		"llbp_bad_overrides":        s.BadOverride,
+		"pipeline_resets":           s.Resets,
+		"prefetch_squashes":         s.Squashes,
+		"llbp_disable_events":       s.DisableEvents,
+		"llbp_disabled_predictions": s.DisabledPredictions,
+		"tsl_predictions":           b.Predictions,
+		"loop_uses":                 b.LoopUses,
+		"provider_bimodal":          b.ProviderBimodal,
+		"provider_tage":             b.ProviderTAGE,
+		"provider_loop":             b.ProviderLoop,
+		"provider_sc":               b.ProviderSC,
+		"provider_llbp":             0, // tsl never names LLBP its provider
+		"tage_allocs":               b.TAGEAllocs,
+		"tage_alloc_failures":       b.TAGEAllocFailures,
+		"sc_reversals":              b.SCReversals,
+	}
+}
+
+// TestForkPublishesRunGrowth: a fork inherits its parent's cumulative
+// Stats, and a measure-only sim.Run on the fork publishes exactly the
+// counts the fork made during that Run, not the inherited totals.
+func TestForkPublishesRunGrowth(t *testing.T) {
+	const warm, meas = 20_000, 30_000
+	wl, err := workload.ByName("Tomcat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, pclock := newTestLLBP(t, DefaultConfig())
+	if err := sim.Warm(wl, parent, sim.Options{WarmupBranches: warm, Clock: pclock}); err != nil {
+		t.Fatal(err)
+	}
+	clock := &predictor.Clock{}
+	child := parent.Fork(clock).(*Predictor)
+	before := publishedCounters(child.Stats(), child.Base().Stats())
+	if before["pb_hits"] == 0 || before["tsl_predictions"] == 0 || before["tage_allocs"] == 0 {
+		t.Fatalf("warmup too short to leave inherited counts: %v", before)
+	}
+
+	reg := telemetry.NewRegistry()
+	if _, err := sim.Run(trace.Skip(wl, warm), child, sim.Options{
+		MeasureBranches: meas,
+		Clock:           clock,
+		Telemetry:       reg,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after := publishedCounters(child.Stats(), child.Base().Stats())
+	snap := reg.Snapshot()
+	for name, total := range after {
+		got, ok := snap.Counters[name]
+		if !ok {
+			t.Errorf("counter %s not published", name)
+		} else if want := total - before[name]; got != want {
+			t.Errorf("counter %s = %d, want the Run's growth %d (inherited %d)", name, got, want, before[name])
+		}
+	}
+	for name := range snap.Counters {
+		if _, ok := after[name]; !ok && !strings.HasPrefix(name, "sim_") {
+			t.Errorf("unexpected counter %s published", name)
+		}
+	}
+	preds := after["tsl_predictions"] - before["tsl_predictions"]
+	if h := snap.Histograms["tage_provider_len"]; h.Count != preds {
+		t.Errorf("tage_provider_len counts %d predictions, want the Run's %d", h.Count, preds)
+	}
+	checkMetricNames(t, snap)
 }
 
 // TestPrefetchAccountingInvariant: every prefetched entry is eventually
@@ -112,23 +224,5 @@ func TestStatsOccupancyFields(t *testing.T) {
 	}
 	if s.PBLive <= 0 || s.PBLive > cfg.PBEntries {
 		t.Errorf("PBLive = %d, want in (0, %d]", s.PBLive, cfg.PBEntries)
-	}
-}
-
-// TestDetachTelemetry: re-attaching with a nil registry detaches — later
-// events must not reach the old registry.
-func TestDetachTelemetry(t *testing.T) {
-	p, clock := newTestLLBP(t, DefaultConfig())
-	reg := telemetry.NewRegistry()
-	p.AttachTelemetry(reg)
-	driveStream(p, clock, 5000)
-	before := reg.Snapshot().Counters["pb_hits"]
-	p.AttachTelemetry(nil)
-	driveStream(p, clock, 5000)
-	if after := reg.Snapshot().Counters["pb_hits"]; after != before {
-		t.Errorf("detached predictor still updated registry: %d -> %d", before, after)
-	}
-	if p.Stats().PBHits <= before {
-		t.Error("Stats must keep counting after detach")
 	}
 }

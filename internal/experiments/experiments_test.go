@@ -153,20 +153,6 @@ func TestConcurrentSameCellSingleflight(t *testing.T) {
 	}
 }
 
-func TestSpecKeysUnique(t *testing.T) {
-	specs := []PredictorSpec{
-		Spec64K(), Spec128K(), Spec256K(), Spec512K(), Spec1M(),
-		SpecInfTAGE(), SpecInfTSL(), SpecLLBPDefault(), SpecLLBP0Lat(),
-	}
-	seen := map[string]bool{}
-	for _, s := range specs {
-		if seen[s.Key] {
-			t.Errorf("duplicate spec key %q", s.Key)
-		}
-		seen[s.Key] = true
-	}
-}
-
 func TestStaticExperiments(t *testing.T) {
 	h := tinyHarness(t)
 	for _, id := range []string{"table2", "table3"} {

@@ -120,9 +120,9 @@ var extScaleBudgets = []uint64{250_000, 500_000, 1_000_000, 2_000_000}
 
 // ExtScale quantifies how the headline reductions depend on the
 // simulation budget — the context working set grows with measured
-// branches, so capacity-sensitive gaps (Inf TAGE, LLBP) widen toward the
-// paper's 300M-instruction numbers. This study substantiates the scale
-// caveats noted for Figures 13 and 14 (see EXPERIMENTS.md).
+// branches, so Inf TAGE's capacity gap widens toward the paper's
+// 300M-instruction numbers (LLBP's peaks at 1M). This study substantiates
+// the scale caveats noted for Figures 13 and 14 (see EXPERIMENTS.md).
 func ExtScale(h *Harness) ([]*report.Table, error) {
 	wl := h.Cfg.workloads()[0]
 	for _, w := range h.Cfg.workloads() {

@@ -55,7 +55,8 @@ var allocCallPackages = map[string]bool{
 	"fmt": true, "strings": true, "strconv": true, "sort": true, "bytes": true,
 }
 
-var snakeCaseRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+// SnakeCase is the instrument-name pattern.
+var SnakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 
 func runTelemetrySafe(pass *analysis.Pass) error {
 	if lastSegment(pass.Pkg.Path()) == "telemetry" {
@@ -212,8 +213,8 @@ func checkInstrumentName(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	name := constant.StringVal(tv.Value)
-	if !snakeCaseRE.MatchString(name) {
+	if !SnakeCase.MatchString(name) {
 		pass.Reportf(call.Args[0].Pos(),
-			"instrument name %q is not snake_case (want %s)", name, snakeCaseRE)
+			"instrument name %q is not snake_case (want %s)", name, SnakeCase)
 	}
 }

@@ -59,6 +59,21 @@ type Detailer interface {
 	LastDetail() Detail
 }
 
+// Counted is implemented by predictors that keep cumulative event
+// counters. ReportCounts hands each total to sink under its metric name,
+// then cascades to the predictor's components.
+type Counted interface {
+	ReportCounts(sink CountSink)
+}
+
+// CountSink receives a Counted predictor's totals: counters, and
+// histograms of integer observations (a count per inclusive upper bound,
+// an overflow count, and the observations' sum).
+type CountSink interface {
+	Count(name string, total uint64)
+	Buckets(name string, bounds []float64, counts []uint64, sum uint64)
+}
+
 // Component identifies which structure provided the final prediction.
 type Component uint8
 
@@ -122,9 +137,9 @@ type Detail struct {
 //
 // The child is detached from the parent: subsequent training of either
 // never affects the other (implementations may share storage
-// copy-on-write as long as that isolation holds). Telemetry instruments
-// are NOT carried across a fork; attach a registry to the child
-// explicitly if it should be observed.
+// copy-on-write as long as that isolation holds). The child inherits the
+// parent's cumulative counters (Counted); a run that publishes them
+// publishes only their growth from its own start.
 //
 // Latency-aware predictors (LLBP's prefetch pipeline) read simulation
 // time from a Clock: the caller passes the clock the child will be

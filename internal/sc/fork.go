@@ -5,9 +5,8 @@ package sc
 // Predict/Update scratch. Training either copy never affects the other.
 // The fold locations are shared: they are fixed at construction and
 // valid in the clone of the history engine the fork's owner passes to
-// Correct. Telemetry instruments are not carried across; attach a
-// registry to the child explicitly. Call at a branch boundary (after
-// Update, before the next Correct).
+// Correct. The reversal count carries across too. Call at a branch
+// boundary (after Update, before the next Correct).
 func (c *Corrector) Fork() *Corrector {
 	out := *c
 	out.tables = make([][]int8, len(c.tables))
@@ -22,7 +21,6 @@ func (c *Corrector) Fork() *Corrector {
 	if c.imli != nil {
 		out.imli = c.imli.fork()
 	}
-	out.telReversals = nil
 	return &out
 }
 

@@ -14,7 +14,7 @@ import (
 	"fmt"
 
 	"llbp/internal/history"
-	"llbp/internal/telemetry"
+	"llbp/internal/predictor"
 )
 
 // Config parameterizes the corrector.
@@ -85,9 +85,8 @@ type Corrector struct {
 	lastFlip bool
 	lastPC   uint64
 
-	// Cumulative reversal count and its telemetry mirror.
-	reversals    uint64
-	telReversals *telemetry.Counter
+	// Cumulative reversal count.
+	reversals uint64
 }
 
 // directFold is one direct component's fold: the window bits it reads,
@@ -97,10 +96,9 @@ type directFold struct {
 	steps  int
 }
 
-// AttachTelemetry wires the corrector's reversal counter to reg (nil
-// detaches). Implements telemetry.Attachable.
-func (c *Corrector) AttachTelemetry(reg *telemetry.Registry) {
-	c.telReversals = reg.Counter("sc_reversals")
+// ReportCounts implements predictor.Counted: the reversal count.
+func (c *Corrector) ReportCounts(sink predictor.CountSink) {
+	sink.Count("sc_reversals", c.reversals)
 }
 
 // Reversals returns how many predictions the corrector has flipped.
@@ -219,7 +217,6 @@ func (c *Corrector) Correct(eng *history.Engine, pc uint64, tageTaken bool, tage
 	c.lastFlip = flip
 	if flip {
 		c.reversals++
-		c.telReversals.Inc()
 		return scTaken
 	}
 	return tageTaken

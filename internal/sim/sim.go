@@ -51,12 +51,12 @@ type Options struct {
 	Hook      func(processed uint64)
 	HookEvery uint64
 
-	// Telemetry, when non-nil, receives run metrics: the driver attaches
-	// the predictor (when it implements telemetry.Attachable), registers
-	// sim_* counters/gauges for the measured phase, and appends
-	// per-interval "mpki" and "ipc_proxy" series points keyed by
-	// measured-branch index. Nil disables all of it at the cost of one
-	// comparison per measured branch.
+	// Telemetry, when non-nil, receives run metrics: sim_* counters and
+	// gauges for the measured phase, per-interval "mpki" and "ipc_proxy"
+	// series points keyed by measured-branch index, and the growth of a
+	// predictor.Counted predictor's counters since Run start, published
+	// at each sample and at Run end. Nil disables all of it at the cost
+	// of one comparison per measured branch.
 	Telemetry *telemetry.Registry
 	// SeriesInterval is the measured-branch interval between series
 	// points (default 4096).
@@ -155,10 +155,15 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 		tracePID = telemetry.PidSim
 	}
 	var serMPKI, serIPC *telemetry.Series
+	publish := func() {}
 	if opt.Telemetry != nil {
-		telemetry.Attach(opt.Telemetry, p)
 		serMPKI = opt.Telemetry.Series("mpki", interval)
 		serIPC = opt.Telemetry.Series("ipc_proxy", interval)
+		if c, ok := p.(predictor.Counted); ok {
+			pub := telemetry.NewPublisher(opt.Telemetry)
+			publish = func() { c.ReportCounts(pub) }
+			publish() // the baseline: counts from before Run stay out
+		}
 	}
 	// One sampling condition governs both the in-loop sentinel and the
 	// final partial-interval flush, so telemetry-only, tracer-only and
@@ -197,6 +202,7 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 		}
 		serMPKI.Append(mpki)
 		serIPC.Append(ipc)
+		publish()
 		if opt.Tracer != nil {
 			scratchArgs["mpki"] = mpki
 			scratchArgs["ipc_proxy"] = ipc
@@ -284,6 +290,7 @@ func Run(src trace.Source, p predictor.Predictor, opt Options) (*Result, error) 
 	if sampling && ledger.Instructions > lastInstr {
 		sample() // flush the final partial interval
 	}
+	publish()
 	if opt.Telemetry != nil {
 		opt.Telemetry.Counter("sim_branches").Add(res.Branches)
 		opt.Telemetry.Counter("sim_cond_branches").Add(res.CondBranches)

@@ -6,9 +6,8 @@ package tage
 // and RNG state, and the Predict/Update scratch. Training either copy
 // never affects the other, and — because the RNG state is carried —
 // both copies replay the exact allocation schedule an unforked predictor
-// would. Telemetry instruments are not carried across; attach a registry
-// to the child explicitly. Call at a branch boundary (after Update,
-// before the next Predict).
+// would. The cumulative counters carry across too. Call at a branch
+// boundary (after Update, before the next Predict).
 func (p *Predictor) Fork() *Predictor {
 	out := *p
 	out.bim = p.bim.Fork()
@@ -38,8 +37,5 @@ func (p *Predictor) Fork() *Predictor {
 	// A non-owner's engine belongs to the composite, which clones it and
 	// rebinds the forked TAGE via RebindHistoryEngine. Cached fold
 	// locations stay valid either way (clones share the packed layout).
-	out.telAllocs = nil
-	out.telAllocFails = nil
-	out.telProviderLens = nil
 	return &out
 }

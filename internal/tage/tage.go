@@ -2,11 +2,12 @@ package tage
 
 import (
 	"fmt"
+	"sort"
 
 	"llbp/internal/assert"
 	"llbp/internal/bimodal"
 	"llbp/internal/history"
-	"llbp/internal/telemetry"
+	"llbp/internal/predictor"
 	"llbp/internal/trace"
 )
 
@@ -105,24 +106,27 @@ type Predictor struct {
 	// Per-prediction scratch, filled by Predict and consumed by Update.
 	scratch scratch
 
-	// Stats counters (cumulative; the sim layer snapshots them).
+	// Stats counters (cumulative; ReportCounts publishes them).
 	allocFailures uint64
 	allocations   uint64
-
-	// Telemetry instruments (nil = detached no-ops).
-	telAllocs       *telemetry.Counter
-	telAllocFails   *telemetry.Counter
-	telProviderLens *telemetry.Histogram
+	// providerLens buckets every prediction's provider history length
+	// (0 for the bimodal) on providerLenBounds, and providerLenSum totals
+	// the lengths. lenBucket[i] is table i's bucket, fixed in New.
+	providerLens   [len(providerLenBounds) + 1]uint64
+	providerLenSum uint64
+	lenBucket      []uint8
 }
 
-// AttachTelemetry wires the predictor's allocator counters and the
-// provider-length histogram to reg (nil detaches). Implements
-// telemetry.Attachable.
-func (p *Predictor) AttachTelemetry(reg *telemetry.Registry) {
-	p.telAllocs = reg.Counter("tage_allocs")
-	p.telAllocFails = reg.Counter("tage_alloc_failures")
-	p.telProviderLens = reg.Histogram("tage_provider_len",
-		telemetry.ExponentialBuckets(4, 2, 10))
+// providerLenBounds bound the buckets of tage_provider_len, the
+// provider-length histogram; longer lengths overflow.
+var providerLenBounds = [...]float64{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}
+
+// ReportCounts implements predictor.Counted: the allocator's outcomes
+// and the provider-length histogram.
+func (p *Predictor) ReportCounts(sink predictor.CountSink) {
+	sink.Count("tage_allocs", p.allocations)
+	sink.Count("tage_alloc_failures", p.allocFailures)
+	sink.Buckets("tage_provider_len", providerLenBounds[:], p.providerLens[:], p.providerLenSum)
 }
 
 // scratch carries one prediction's intermediate state from Predict to
@@ -215,6 +219,10 @@ func New(cfg Config) (*Predictor, error) {
 		if cfg.HistLengths[i] >= 16 {
 			t.pathShift = uint8(i & 7)
 		}
+	}
+	p.lenBucket = make([]uint8, n)
+	for i, h := range cfg.HistLengths {
+		p.lenBucket[i] = uint8(sort.SearchFloat64s(providerLenBounds[:], float64(h)))
 	}
 	return p, nil
 }
@@ -402,10 +410,11 @@ func (p *Predictor) Predict(pc uint64) bool {
 	s.bimTaken = p.bim.Predict(pc)
 	if s.provider < 0 {
 		s.finalTaken = s.bimTaken
-		p.telProviderLens.Observe(0)
+		p.providerLens[0]++ // length 0
 		return s.finalTaken
 	}
-	p.telProviderLens.Observe(float64(p.cfg.HistLengths[s.provider]))
+	p.providerLens[p.lenBucket[s.provider]]++
+	p.providerLenSum += uint64(p.cfg.HistLengths[s.provider])
 	if s.alt < 0 {
 		s.altTaken = s.bimTaken
 	}
@@ -595,7 +604,6 @@ func (p *Predictor) allocate(taken bool) {
 			//llbplint:allow hotpath -- Infinite ablation: entries live on the heap by design, one allocation per new (pc,idx,tag)
 			p.inf[i][k] = &entry{tag: s.tag[i], ctr: weakCtr(taken)}
 			p.allocations++
-			p.telAllocs.Inc()
 		}
 		return
 	}
@@ -609,7 +617,6 @@ func (p *Predictor) allocate(taken bool) {
 			e.useful = 0
 			allocated++
 			p.allocations++
-			p.telAllocs.Inc()
 			i++ // leave a gap before the second allocation
 		} else {
 			failures++
@@ -632,7 +639,6 @@ func (p *Predictor) allocate(taken bool) {
 	}
 	if allocated == 0 {
 		p.allocFailures++
-		p.telAllocFails.Inc()
 	}
 }
 

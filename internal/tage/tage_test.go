@@ -479,3 +479,62 @@ func TestPatternCountFinite(t *testing.T) {
 		t.Errorf("finite PatternCount = %d, want %d", got, want)
 	}
 }
+
+// sinkRecorder keeps the totals of the last ReportCounts call.
+type sinkRecorder struct {
+	counts  map[string]uint64
+	bounds  []float64
+	buckets []uint64
+	sum     uint64
+}
+
+func (r *sinkRecorder) Count(name string, total uint64) { r.counts[name] = total }
+
+func (r *sinkRecorder) Buckets(name string, bounds []float64, counts []uint64, sum uint64) {
+	r.bounds, r.buckets, r.sum = bounds, append([]uint64(nil), counts...), sum
+}
+
+// TestProviderLenBuckets: every prediction lands in the provider-length
+// bucket of its provider's history length (0 for the bimodal), the sum
+// totals those lengths, and ReportCounts reports them with the
+// allocator's counters.
+func TestProviderLenBuckets(t *testing.T) {
+	p := mustNew(t, DefaultConfig())
+	want := make([]uint64, len(providerLenBounds)+1)
+	var wantSum uint64
+	const n = 20000
+	for i := 0; i < n; i++ {
+		pc := 0x4000 + uint64(i%37)*4
+		p.Predict(pc)
+		l := p.ProviderLen()
+		b := 0
+		for b < len(providerLenBounds) && providerLenBounds[b] < float64(l) {
+			b++
+		}
+		want[b]++
+		wantSum += uint64(l)
+		p.Update(pc, (i/3)%2 == 0)
+	}
+	r := &sinkRecorder{counts: map[string]uint64{}}
+	p.ReportCounts(r)
+	if len(r.bounds) != 10 || r.bounds[0] != 4 || r.bounds[9] != 2048 {
+		t.Errorf("bounds = %v, want 4, 8, ..., 2048", r.bounds)
+	}
+	var total uint64
+	for i := range want {
+		total += r.buckets[i]
+		if r.buckets[i] != want[i] {
+			t.Errorf("bucket %d = %d, want %d", i, r.buckets[i], want[i])
+		}
+	}
+	if total != n || r.sum != wantSum {
+		t.Errorf("buckets total %d (want %d), sum %d (want %d)", total, n, r.sum, wantSum)
+	}
+	if want[0] == n {
+		t.Error("stream too tame: no tagged provider")
+	}
+	if r.counts["tage_allocs"] != p.Allocations() || r.counts["tage_alloc_failures"] != p.AllocFailures() {
+		t.Errorf("reported %v, want tage_allocs %d, tage_alloc_failures %d",
+			r.counts, p.Allocations(), p.AllocFailures())
+	}
+}

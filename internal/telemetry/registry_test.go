@@ -308,3 +308,60 @@ func TestSnapshotSequenceBackwardCompatible(t *testing.T) {
 		t.Errorf("round-trip seq=%d ts=%d; want 1, 42000", got.Seq, got.TimeUnixMS)
 	}
 }
+
+// TestPublisherPublishesGrowth: a name's first report registers it and
+// adds nothing; every later report adds the growth since the last one.
+func TestPublisherPublishesGrowth(t *testing.T) {
+	reg := NewRegistry()
+	pub := NewPublisher(reg)
+	bounds := []float64{4, 8}
+	pub.Count("events", 10)
+	pub.Buckets("lens", bounds, []uint64{3, 0, 1}, 20)
+	snap := reg.Snapshot()
+	if got, ok := snap.Counters["events"]; !ok || got != 0 {
+		t.Fatalf("after the baseline, events = %d (registered %v), want 0", got, ok)
+	}
+	if h := snap.Histograms["lens"]; h.Count != 0 || h.Sum != 0 || len(h.Counts) != 3 {
+		t.Fatalf("after the baseline, lens = %+v, want empty with 3 buckets", h)
+	}
+
+	pub.Count("events", 15)
+	pub.Count("events", 15)
+	pub.Count("events", 40)
+	pub.Buckets("lens", bounds, []uint64{5, 2, 1}, 40)
+	pub.Buckets("lens", bounds, []uint64{5, 2, 2}, 140)
+	snap = reg.Snapshot()
+	if got := snap.Counters["events"]; got != 30 {
+		t.Errorf("events = %d, want the growth 30", got)
+	}
+	h := snap.Histograms["lens"]
+	if want := []uint64{2, 2, 1}; fmt.Sprint(h.Counts) != fmt.Sprint(want) || h.Count != 5 || h.Sum != 120 {
+		t.Errorf("lens = %+v, want counts %v, count 5, sum 120", h, want)
+	}
+}
+
+// TestAddBucketsMatchesObserve: adding pre-bucketed counts and a sum
+// leaves a histogram exactly as the equivalent Observe calls do.
+func TestAddBucketsMatchesObserve(t *testing.T) {
+	reg := NewRegistry()
+	bounds := ExponentialBuckets(4, 2, 10)
+	observed := reg.Histogram("observed", bounds)
+	added := reg.Histogram("added", bounds)
+	counts := make([]uint64, len(bounds)+1)
+	var sum uint64
+	for _, v := range []uint64{0, 4, 5, 9, 640, 640, 2048, 3000} {
+		observed.Observe(float64(v))
+		i := 0
+		for i < len(bounds) && bounds[i] < float64(v) {
+			i++
+		}
+		counts[i]++
+		sum += v
+	}
+	added.AddBuckets(counts, float64(sum))
+	snap := reg.Snapshot()
+	o, a := snap.Histograms["observed"], snap.Histograms["added"]
+	if fmt.Sprint(o) != fmt.Sprint(a) {
+		t.Errorf("AddBuckets gave %+v, Observe gave %+v", a, o)
+	}
+}

@@ -3,16 +3,15 @@
 // and fixed-interval time series) plus a structured event tracer emitting
 // Chrome trace-event JSON loadable in Perfetto / chrome://tracing.
 //
-// The design goal is that instrumentation can stay compiled into every
-// hot path permanently. Components hold typed instrument pointers
-// (*Counter, *Histogram, ...) that are nil until the component is
-// attached to a Registry; every instrument method is nil-safe, so the
-// disabled fast path is a single pointer test with no allocation and no
-// atomic traffic. Attaching is explicit and cheap:
+// The design goal is that observation stays compiled in permanently.
+// Components hold typed instrument pointers (*Counter, *Histogram, ...)
+// from a Registry; every instrument method is nil-safe, so with a nil
+// registry an update is one pointer test with no allocation and no atomic
+// traffic. Predictors hold no instruments: they count in plain Stats
+// fields, which the simulation driver publishes through a Publisher:
 //
 //	reg := telemetry.NewRegistry()
-//	telemetry.Attach(reg, pred) // pred implements Attachable
-//	... run ...
+//	res, err := sim.Run(src, pred, sim.Options{..., Telemetry: reg})
 //	reg.WriteJSON(f)
 //
 // Instrument updates are atomic, so one registry may be shared by
@@ -112,6 +111,27 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[lo].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// AddBuckets adds counts[i] observations to bucket i and sum to the sum:
+// a batch of Observe calls the caller has already bucketed. Slots past
+// the last bucket are ignored.
+func (h *Histogram) AddBuckets(counts []uint64, sum float64) {
+	if h == nil {
+		return
+	}
+	var n uint64
+	for i := 0; i < len(counts) && i < len(h.counts); i++ {
+		h.counts[i].Add(counts[i])
+		n += counts[i]
+	}
+	h.count.Add(n)
+	h.addSum(sum)
+}
+
+// addSum adds v to the float64 sum.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -295,21 +315,43 @@ func (r *Registry) Series(name string, interval uint64) *Series {
 	return s
 }
 
-// Attachable is implemented by components that wire their instruments to
-// a registry. Attaching with a nil registry detaches (all instruments
-// become no-ops); components must tolerate repeated attachment.
-type Attachable interface {
-	AttachTelemetry(*Registry)
+// Publisher is the CountSink through which the simulation driver
+// publishes a predictor's cumulative counters (predictor.Counted). A
+// name's first report registers it and adds nothing; each later report
+// adds the growth since the previous one. Totals never decrease, and no
+// counter shares a histogram's name. Not safe for concurrent use.
+type Publisher struct {
+	reg  *Registry
+	last map[string][]uint64 // a counter's total, or a histogram's counts then sum
 }
 
-// Attach wires v to reg when v implements Attachable, reporting whether
-// it did.
-func Attach(reg *Registry, v any) bool {
-	a, ok := v.(Attachable)
-	if ok {
-		a.AttachTelemetry(reg)
+// NewPublisher returns a publisher feeding reg.
+func NewPublisher(reg *Registry) *Publisher {
+	return &Publisher{reg: reg, last: make(map[string][]uint64)}
+}
+
+// Count publishes the growth of the named counter's total.
+func (p *Publisher) Count(name string, total uint64) {
+	last, seen := p.last[name]
+	c := p.reg.Counter(name)
+	if seen {
+		c.Add(total - last[0])
 	}
-	return ok
+	p.last[name] = append(last[:0], total)
+}
+
+// Buckets publishes the growth of the named histogram's bucket counts
+// and integer sum. bounds apply on the first report.
+func (p *Publisher) Buckets(name string, bounds []float64, counts []uint64, sum uint64) {
+	last, seen := p.last[name]
+	h := p.reg.Histogram(name, bounds)
+	if seen {
+		for i, n := range counts {
+			last[i] = n - last[i] // the growth, until the append below
+		}
+		h.AddBuckets(last[:len(counts)], float64(sum-last[len(counts)]))
+	}
+	p.last[name] = append(append(last[:0], counts...), sum)
 }
 
 // HistogramSnapshot is the serialized state of one histogram. Counts has

@@ -8,8 +8,7 @@ var _ predictor.Forkable = (*Predictor)(nil)
 // copy of the composite — the TAGE core, statistical corrector, loop
 // predictor, the loop chooser, the provider counters and the
 // Predict/Update scratch. TAGE-SC-L is latency-free, so the clock is
-// ignored (nil is fine). Telemetry instruments are not carried across;
-// attach a registry to the child explicitly. Call at a branch boundary.
+// ignored (nil is fine). Call at a branch boundary.
 //
 // The concrete type of the returned predictor is always *Predictor
 // (composites holding a *tsl.Predictor fork through this and assert).
@@ -22,11 +21,6 @@ func (p *Predictor) Fork(clock *predictor.Clock) predictor.Predictor {
 	}
 	if p.loop != nil {
 		out.loop = p.loop.Fork()
-	}
-	out.telPredictions = nil
-	out.telLoopUses = nil
-	for i := range out.telProviders {
-		out.telProviders[i] = nil
 	}
 	return &out
 }

@@ -3,18 +3,19 @@ package tsl
 import (
 	"testing"
 
+	"llbp/internal/lint"
 	"llbp/internal/telemetry"
 )
 
 // TestStatsAndTelemetryAgree drives a mixed stream through the composite
 // and checks the two observability surfaces — the public Stats() snapshot
-// and counters attached via AttachTelemetry — report identical values.
+// and the counters ReportCounts publishes through a telemetry.Publisher
+// — report identical values.
 func TestStatsAndTelemetryAgree(t *testing.T) {
 	p := MustNew(Config64K())
 	reg := telemetry.NewRegistry()
-	if !telemetry.Attach(reg, p) {
-		t.Fatal("tsl.Predictor must implement telemetry.Attachable")
-	}
+	pub := telemetry.NewPublisher(reg)
+	p.ReportCounts(pub) // baseline
 
 	const n = 30000
 	rng := uint64(0x9E3779B97F4A7C15)
@@ -27,6 +28,7 @@ func TestStatsAndTelemetryAgree(t *testing.T) {
 		p.Predict(pc)
 		p.Update(pc, taken)
 	}
+	p.ReportCounts(pub)
 
 	s := p.Stats()
 	if s.Predictions != n {
@@ -55,5 +57,17 @@ func TestStatsAndTelemetryAgree(t *testing.T) {
 	}
 	if s.TAGEAllocs == 0 {
 		t.Error("stream too tame: no TAGE allocations exercised")
+	}
+	// Names reach the registry at run time, where the telemetrysafe
+	// analyzer cannot check them.
+	for name := range snap.Counters {
+		if !lint.SnakeCase.MatchString(name) {
+			t.Errorf("counter name %q is not snake_case", name)
+		}
+	}
+	for name := range snap.Histograms {
+		if !lint.SnakeCase.MatchString(name) {
+			t.Errorf("histogram name %q is not snake_case", name)
+		}
 	}
 }

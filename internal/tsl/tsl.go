@@ -12,16 +12,15 @@ import (
 	"llbp/internal/predictor"
 	"llbp/internal/sc"
 	"llbp/internal/tage"
-	"llbp/internal/telemetry"
 	"llbp/internal/trace"
 )
 
 // Stats are the composite predictor's event counters: how often each
 // component supplied the final prediction, how often the corrector
 // reversed it, and how the TAGE allocator fared. This is the public
-// statistics surface — experiments and CLIs read it (or the equivalent
-// telemetry counters registered by AttachTelemetry) instead of reaching
-// into predictor internals.
+// statistics surface — experiments and CLIs read it instead of reaching
+// into predictor internals, and ReportCounts hands the same counters to
+// the simulation driver, which publishes them to a telemetry registry.
 type Stats struct {
 	Predictions uint64 // conditional predictions made
 	SCReversals uint64 // statistical-corrector flips of the base prediction
@@ -120,20 +119,15 @@ type Predictor struct {
 	loopUsed   bool
 	finalTaken bool
 
-	scFlips     uint64
 	loopUses    uint64
 	predictions uint64
 	providers   [5]uint64 // indexed by predictor.Component
-
-	// Telemetry instruments (nil = detached no-ops).
-	telPredictions *telemetry.Counter
-	telLoopUses    *telemetry.Counter
-	telProviders   [5]*telemetry.Counter
 }
 
 var (
 	_ predictor.Predictor = (*Predictor)(nil)
 	_ predictor.Detailer  = (*Predictor)(nil)
+	_ predictor.Counted   = (*Predictor)(nil)
 )
 
 // New constructs a TAGE-SC-L predictor.
@@ -190,9 +184,8 @@ func (p *Predictor) TAGE() *tage.Predictor { return p.tage }
 
 // Stats returns a snapshot of the composite predictor's event counters.
 func (p *Predictor) Stats() Stats {
-	return Stats{
+	s := Stats{
 		Predictions:       p.predictions,
-		SCReversals:       p.scFlips,
 		LoopUses:          p.loopUses,
 		ProviderBimodal:   p.providers[predictor.ProviderBimodal],
 		ProviderTAGE:      p.providers[predictor.ProviderTAGE],
@@ -201,28 +194,32 @@ func (p *Predictor) Stats() Stats {
 		TAGEAllocs:        p.tage.Allocations(),
 		TAGEAllocFailures: p.tage.AllocFailures(),
 	}
+	if p.sc != nil {
+		s.SCReversals = p.sc.Reversals()
+	}
+	return s
 }
 
-// AttachTelemetry wires the composite's counters — predictions, provider
-// usage, loop-chooser overrides — to reg and cascades into the TAGE core
-// and the statistical corrector (nil detaches everything). Implements
-// telemetry.Attachable.
-func (p *Predictor) AttachTelemetry(reg *telemetry.Registry) {
-	p.telPredictions = reg.Counter("tsl_predictions")
-	p.telLoopUses = reg.Counter("loop_uses")
-	for c := predictor.ProviderBimodal; c <= predictor.ProviderLLBP; c++ {
-		p.telProviders[c] = reg.Counter("provider_" + c.String())
-	}
-	p.tage.AttachTelemetry(reg)
+// ReportCounts implements predictor.Counted: predictions, loop-chooser
+// overrides and provider usage, then the TAGE core's counters and the
+// statistical corrector's.
+func (p *Predictor) ReportCounts(sink predictor.CountSink) {
+	sink.Count("tsl_predictions", p.predictions)
+	sink.Count("loop_uses", p.loopUses)
+	sink.Count("provider_bimodal", p.providers[predictor.ProviderBimodal])
+	sink.Count("provider_tage", p.providers[predictor.ProviderTAGE])
+	sink.Count("provider_loop", p.providers[predictor.ProviderLoop])
+	sink.Count("provider_sc", p.providers[predictor.ProviderSC])
+	sink.Count("provider_llbp", p.providers[predictor.ProviderLLBP])
+	p.tage.ReportCounts(sink)
 	if p.sc != nil {
-		p.sc.AttachTelemetry(reg)
+		p.sc.ReportCounts(sink)
 	}
 }
 
 // Predict implements predictor.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
 	p.predictions++
-	p.telPredictions.Inc()
 	p.lastPC = pc
 	p.tageTaken = p.tage.Predict(pc)
 	base := p.tageTaken
@@ -239,7 +236,6 @@ func (p *Predictor) Predict(pc uint64) bool {
 			provider = predictor.ProviderLoop
 			p.loopUsed = true
 			p.loopUses++
-			p.telLoopUses.Inc()
 		}
 	}
 	final := base
@@ -247,12 +243,10 @@ func (p *Predictor) Predict(pc uint64) bool {
 		final = p.sc.Correct(p.tage.HistoryEngine(), pc, base, p.tage.LastConfident() || provider == predictor.ProviderLoop)
 		if p.sc.Flipped() {
 			provider = predictor.ProviderSC
-			p.scFlips++
 		}
 	}
 	p.finalTaken = final
 	p.providers[provider]++
-	p.telProviders[provider].Inc()
 	p.detail = predictor.Detail{
 		Provider:      provider,
 		ProviderLen:   p.tage.ProviderLen(),

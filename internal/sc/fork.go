@@ -5,8 +5,8 @@ package sc
 // Predict/Update scratch. Training either copy never affects the other.
 // The fold locations are shared: they are fixed at construction and
 // valid in the clone of the history engine the fork's owner passes to
-// Correct. The reversal count carries across too. Call at a branch
-// boundary (after Update, before the next Correct).
+// Correct. Call at a branch boundary (after Update, before the next
+// Correct).
 func (c *Corrector) Fork() *Corrector {
 	out := *c
 	out.tables = make([][]int8, len(c.tables))

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"llbp/internal/history"
-	"llbp/internal/predictor"
 )
 
 // Config parameterizes the corrector.
@@ -84,9 +83,6 @@ type Corrector struct {
 	lastTage bool
 	lastFlip bool
 	lastPC   uint64
-
-	// Cumulative reversal count.
-	reversals uint64
 }
 
 // directFold is one direct component's fold: the window bits it reads,
@@ -95,14 +91,6 @@ type directFold struct {
 	window uint64
 	steps  int
 }
-
-// ReportCounts implements predictor.Counted: the reversal count.
-func (c *Corrector) ReportCounts(sink predictor.CountSink) {
-	sink.Count("sc_reversals", c.reversals)
-}
-
-// Reversals returns how many predictions the corrector has flipped.
-func (c *Corrector) Reversals() uint64 { return c.reversals }
 
 // New constructs a corrector whose component folds are registered on eng.
 // The corrector never pushes eng: its owner advances it exactly once per
@@ -216,7 +204,6 @@ func (c *Corrector) Correct(eng *history.Engine, pc uint64, tageTaken bool, tage
 	flip := scTaken != tageTaken && abs(sum) >= c.threshold && !tageConfident
 	c.lastFlip = flip
 	if flip {
-		c.reversals++
 		return scTaken
 	}
 	return tageTaken

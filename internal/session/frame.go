@@ -175,9 +175,6 @@ const (
 type FrameReader struct {
 	sc  *bufio.Scanner
 	err error
-	// recs is decodeFast's scratch for one frame's records; frames get
-	// their own copy.
-	recs []BranchRec
 }
 
 // NewFrameReader wraps r.
@@ -210,7 +207,7 @@ func (fr *FrameReader) Next() (Frame, error) {
 		if len(trimSpace(line)) == 0 {
 			continue // tolerate blank lines between frames
 		}
-		f, ok := fr.decodeFast(line)
+		f, ok := decodeFast(line)
 		if !ok {
 			// A variable of its own: json.Unmarshal moves it to the
 			// heap, and only declined lines should pay for that.

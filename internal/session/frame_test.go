@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,14 @@ func TestFrameReaderWellFormed(t *testing.T) {
 }
 
 func TestFrameReaderRejects(t *testing.T) {
+	var oversized bytes.Buffer
+	if err := json.NewEncoder(&oversized).Encode(Frame{Type: FrameBranchBatch, Seq: 1,
+		Branches: make([]BranchRec, MaxBatchBranches+1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := decodeFast(bytes.TrimSuffix(oversized.Bytes(), []byte("\n"))); ok {
+		t.Errorf("fast path accepted a batch of %d records", MaxBatchBranches+1)
+	}
 	for _, tc := range []struct {
 		name string
 		in   string
@@ -64,19 +73,33 @@ func TestFrameReaderRejects(t *testing.T) {
 		{"negative seq", `{"type":"branch-batch","seq":-1,"branches":[{"pc":4}]}` + "\n"},
 		{"fractional pc", `{"type":"branch-batch","seq":1,"branches":[{"pc":1.5}]}` + "\n"},
 		{"leading zero", `{"type":"branch-batch","seq":01,"branches":[{"pc":4}]}` + "\n"},
+		{"oversized batch", oversized.String()},
+		{"a million braces", `{"type":"branch-batch","seq":1,"branches":[` + strings.Repeat("{", 1_048_000) + "\n"},
 	} {
 		fr := NewFrameReader(strings.NewReader(tc.in))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		_, err := fr.Next()
+		runtime.ReadMemStats(&after)
 		if err == nil || err == io.EOF {
 			t.Errorf("%s: accepted (err=%v)", tc.name, err)
 			continue
 		}
-		// Lines encoding/json rejects report its error text verbatim.
+		// The scanner's buffer grows by about 2 MiB to hold a long line.
+		// Records sized by an uncapped '{' count would take 33 MB on the
+		// million-brace line.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
+			t.Errorf("%s: Next allocated %d bytes, want at most 4 MiB", tc.name, n)
+		}
+		// Lines encoding/json rejects report its error text verbatim;
+		// lines it decodes within the size cap report ValidateFrame's.
 		var ref Frame
 		if jerr := json.Unmarshal([]byte(tc.in), &ref); jerr != nil {
 			if want := "session: malformed frame: " + jerr.Error(); err.Error() != want {
 				t.Errorf("%s: error %q, want %q", tc.name, err, want)
 			}
+		} else if verr := ValidateFrame(ref); len(tc.in) <= MaxFrameBytes && (verr == nil || err.Error() != verr.Error()) {
+			t.Errorf("%s: error %q, want ValidateFrame's %v", tc.name, err, verr)
 		}
 	}
 }
@@ -89,9 +112,40 @@ var extremeFrame = Frame{Type: FrameBranchBatch, Seq: math.MaxUint64, Branches: 
 	{},
 }}
 
-// TestFrameReaderOwnsBranches pins that each frame owns its Branches: a
-// Session keeps applied frames in its tail for drain migration, so
-// reading the next frame must not overwrite the previous one's records.
+// recordCombos returns one record for each subset of BranchRec's
+// fields: record m sets field i iff bit i of m is set. Record 0 is the
+// zero record, and the 64 records hold every combination of the five
+// omitempty fields, with and without a pc. A field added to BranchRec
+// joins the combinations, or fails here if no test value suits its
+// kind, so TestFrameReaderOwnsBranches fails until the fast path
+// learns it.
+func recordCombos(t testing.TB) []BranchRec {
+	typ := reflect.TypeOf(BranchRec{})
+	recs := make([]BranchRec, 1<<typ.NumField())
+	for m := range recs {
+		v := reflect.ValueOf(&recs[m]).Elem()
+		for i := 0; i < typ.NumField(); i++ {
+			if m>>i&1 == 0 {
+				continue
+			}
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Uint8, reflect.Uint32, reflect.Uint64:
+				f.SetUint(uint64(m))
+			default:
+				t.Fatalf("BranchRec.%s: no test value for a %s", typ.Field(i).Name, f.Kind())
+			}
+		}
+	}
+	return recs
+}
+
+// TestFrameReaderOwnsBranches pins that the fast path accepts every
+// client frame encoding/json writes, and that each frame owns its
+// Branches: a Session keeps applied frames in its tail for drain
+// migration, so reading the next frame must not overwrite the previous
+// one's records.
 func TestFrameReaderOwnsBranches(t *testing.T) {
 	first := Frame{Type: FrameBranchBatch, Seq: 1, Branches: []BranchRec{
 		{PC: 0x400000, Target: 0x400100, Kind: 1, Taken: true, Instructions: 3},
@@ -101,13 +155,33 @@ func TestFrameReaderOwnsBranches(t *testing.T) {
 		{PC: 0x500000, Kind: 1, Instructions: 9},
 		{PC: 0x500100, Target: 0x500000, Kind: 3, TargetMiss: true},
 	}}
+	frames := []Frame{
+		first, second,
+		{Type: FrameHello, Schema: Schema},
+		{Type: FrameBranchBatch, Seq: 3, Branches: recordCombos(t)},
+		extremeFrame,
+		{Type: FrameCheckpoint},
+		{Type: FrameDrain},
+		{Type: FrameBye},
+	}
+	// A field added to Frame must be set by some frame above.
+	typ := reflect.TypeOf(Frame{})
+	for i := 0; i < typ.NumField(); i++ {
+		set := false
+		for _, f := range frames {
+			set = set || !reflect.ValueOf(f).Field(i).IsZero()
+		}
+		if !set {
+			t.Errorf("no test frame sets Frame.%s", typ.Field(i).Name)
+		}
+	}
 	var in bytes.Buffer
-	for _, f := range []Frame{first, second, extremeFrame} {
+	for _, f := range frames {
 		line, err := json.Marshal(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := new(FrameReader).decodeFast(line); !ok {
+		if _, ok := decodeFast(line); !ok {
 			t.Fatalf("fast path declines canonical frame %s", line)
 		}
 		in.Write(append(line, '\n'))
@@ -125,15 +199,19 @@ func TestFrameReaderOwnsBranches(t *testing.T) {
 	if !reflect.DeepEqual(got1.Branches, kept) {
 		t.Fatalf("frame 1 branches changed by reading frame 2: %+v, want %+v", got1.Branches, kept)
 	}
-	if !reflect.DeepEqual(got1, first) || !reflect.DeepEqual(got2, second) {
-		t.Fatalf("decoded %+v, %+v; want %+v, %+v", got1, got2, first, second)
+	for i, got := range []Frame{got1, got2} {
+		if !reflect.DeepEqual(got, frames[i]) {
+			t.Fatalf("frame %d decoded as %+v, want %+v", i+1, got, frames[i])
+		}
 	}
-	got3, err := fr.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got3, extremeFrame) {
-		t.Fatalf("extreme frame round-trip: %+v, want %+v", got3, extremeFrame)
+	for i := 2; i < len(frames); i++ {
+		got, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, frames[i]) {
+			t.Fatalf("frame %d decoded as %+v, want %+v", i+1, got, frames[i])
+		}
 	}
 }
 
@@ -150,8 +228,15 @@ func TestFrameReaderFallbackParity(t *testing.T) {
 		{"duplicate seq", `{"type":"branch-batch","seq":1,"seq":2,"branches":[{"pc":4}]}`},
 		{"duplicate pc", `{"type":"branch-batch","seq":1,"branches":[{"pc":4,"pc":8,"taken":true}]}`},
 		{"duplicate branches", `{"type":"branch-batch","seq":1,"branches":[{"pc":1,"taken":true},{"pc":2}],"branches":[{"pc":3}]}`},
+		{"space after colon", `{"type": "branch-batch","seq": 1,"branches": [{"pc": 4,"taken": true}]}`},
+		{"space after comma", `{"type":"branch-batch", "seq":1, "branches":[{"pc":4, "taken":true}, {"pc":8}]}`},
+		{"record keys out of order", `{"type":"branch-batch","seq":1,"branches":[{"pc":4,"taken":true,"kind":2}]}`},
+		{"pc after target", `{"type":"branch-batch","seq":1,"branches":[{"target":8,"pc":4}]}`},
+		{"frame keys out of order", `{"seq":1,"type":"branch-batch","branches":[{"pc":4}]}`},
+		{"explicit taken false", `{"type":"branch-batch","seq":1,"branches":[{"pc":4,"taken":false}]}`},
+		{"explicit target_miss false", `{"type":"branch-batch","seq":1,"branches":[{"pc":4,"target_miss":false}]}`},
 	} {
-		if _, ok := new(FrameReader).decodeFast([]byte(tc.line)); ok {
+		if _, ok := decodeFast([]byte(tc.line)); ok {
 			t.Errorf("%s: fast path accepted %s", tc.name, tc.line)
 			continue
 		}
@@ -236,9 +321,18 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":4,"kind":256}]}`))
 	f.Add([]byte(`{"type":"branch-batch","seq":01,"branches":[{"pc":4}]}`))
 	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":1e3}]}`))
+	// The scan's edges: the largest value of each field and one past it
+	// (kind 256 and the empty array are above), and a '{' in the type
+	// string, before the array whose '{' bytes size the records.
+	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":18446744073709551615}]}`))
+	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":18446744073709551616}]}`))
+	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":4,"kind":255}]}`))
+	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":4,"instr":4294967295}]}`))
+	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":4,"instr":4294967296}]}`))
+	f.Add([]byte(`{"type":"branch{batch","seq":1,"branches":[{"pc":4},{"pc":8}]}`))
 
 	f.Fuzz(func(t *testing.T, line []byte) {
-		got, ok := new(FrameReader).decodeFast(line)
+		got, ok := decodeFast(line)
 		if !ok {
 			return
 		}
@@ -253,32 +347,45 @@ func FuzzFrameDecode(f *testing.F) {
 }
 
 // BenchmarkFrameReader times FrameReader.Next over 512-branch
-// branch-batch frames as json.Marshal writes them (Tomcat branches):
-// the package-level view of the parse layer perfbench's session workload
-// reports as session.parse_ns_per_branch. ns/op is per frame.
+// branch-batch frames of Tomcat branches: the package-level view of the
+// parse layer perfbench's session workload reports as
+// session.parse_ns_per_branch. ns/op is per frame.
+//   - canonical: the lines as json.Marshal writes them, which decodeFast
+//     accepts;
+//   - fallback: the same lines with a space after every ':', which
+//     decodeFast declines, so json.Unmarshal decodes them.
 func BenchmarkFrameReader(b *testing.B) {
 	const batchLen = 512
-	var in bytes.Buffer
 	frames := testStream(b, 0, 64, batchLen)
-	for _, f := range frames {
-		line, err := json.Marshal(f)
-		if err != nil {
-			b.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		shape func([]byte) []byte
+	}{
+		{"canonical", func(line []byte) []byte { return line }},
+		{"fallback", func(line []byte) []byte { return bytes.ReplaceAll(line, []byte(":"), []byte(": ")) }},
+	} {
+		var in bytes.Buffer
+		for _, f := range frames {
+			line, err := json.Marshal(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in.Write(append(tc.shape(line), '\n'))
 		}
-		in.Write(append(line, '\n'))
-	}
-	stream := in.Bytes()
-	b.SetBytes(int64(len(stream) / len(frames)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var fr *FrameReader
-	for i := 0; i < b.N; i++ {
-		if i%len(frames) == 0 {
-			fr = NewFrameReader(bytes.NewReader(stream))
-		}
-		f, err := fr.Next()
-		if err != nil || len(f.Branches) != batchLen {
-			b.Fatalf("frame %d: %d branches, %v", i, len(f.Branches), err)
-		}
+		stream := in.Bytes()
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(stream) / len(frames)))
+			b.ReportAllocs()
+			var fr *FrameReader
+			for i := 0; i < b.N; i++ {
+				if i%len(frames) == 0 {
+					fr = NewFrameReader(bytes.NewReader(stream))
+				}
+				f, err := fr.Next()
+				if err != nil || len(f.Branches) != batchLen {
+					b.Fatalf("frame %d: %d branches, %v", i, len(f.Branches), err)
+				}
+			}
+		})
 	}
 }

@@ -194,15 +194,15 @@ func (p *Predictor) Stats() Stats {
 		TAGEAllocs:        p.tage.Allocations(),
 		TAGEAllocFailures: p.tage.AllocFailures(),
 	}
-	if p.sc != nil {
-		s.SCReversals = p.sc.Reversals()
-	}
+	// The corrector supplies the final prediction exactly when it flips
+	// the base one, so one slot counts both.
+	s.SCReversals = s.ProviderSC
 	return s
 }
 
 // ReportCounts implements predictor.Counted: predictions, loop-chooser
-// overrides and provider usage, then the TAGE core's counters and the
-// statistical corrector's.
+// overrides and provider usage, then the TAGE core's counters and, when
+// the corrector is present, its flips (the provider_sc slot again).
 func (p *Predictor) ReportCounts(sink predictor.CountSink) {
 	sink.Count("tsl_predictions", p.predictions)
 	sink.Count("loop_uses", p.loopUses)
@@ -213,7 +213,7 @@ func (p *Predictor) ReportCounts(sink predictor.CountSink) {
 	sink.Count("provider_llbp", p.providers[predictor.ProviderLLBP])
 	p.tage.ReportCounts(sink)
 	if p.sc != nil {
-		p.sc.ReportCounts(sink)
+		sink.Count("sc_reversals", p.providers[predictor.ProviderSC])
 	}
 }
 

@@ -88,13 +88,14 @@ func TestInfoSummarizesFileAndWorkload(t *testing.T) {
 		t.Fatalf("metrics document: %+v, %v", mf, err)
 	}
 	// Workload mode replays through the materialized-trace cache and
-	// appends its statistics as a final snapshot.
+	// appends its statistics as a final snapshot. The cache stores 10
+	// bytes per branch (the trace/cache package doc).
 	cc := mf.Runs[1]
 	if cc.Workload != "trace-cache" {
 		t.Fatalf("last run = %q, want trace-cache", cc.Workload)
 	}
 	if cc.Metrics.Counters["trace_cache_misses"] != 1 ||
-		cc.Metrics.Gauges["trace_cache_bytes_resident"] != 5_000*21 {
+		cc.Metrics.Gauges["trace_cache_bytes_resident"] != 5_000*10 {
 		t.Errorf("cache metrics: %+v", cc.Metrics)
 	}
 

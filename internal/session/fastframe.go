@@ -79,8 +79,8 @@ func (s *scan) record(r *BranchRec) bool {
 		(!s.lit(`,"target":`) || s.uint(&r.Target, math.MaxUint64)) &&
 		(!s.lit(`,"kind":`) || s.uint(&kind, math.MaxUint8))
 	r.Taken = ok && s.lit(`,"taken":true`)
-	ok = ok && (!s.lit(`,"instr":`) || s.uint(&instr, math.MaxUint32))
 	r.TargetMiss = ok && s.lit(`,"target_miss":true`)
+	ok = ok && (!s.lit(`,"instr":`) || s.uint(&instr, math.MaxUint32))
 	r.Kind, r.Instructions = uint8(kind), uint32(instr)
 	return ok
 }

@@ -73,19 +73,21 @@ const (
 )
 
 // BranchRec is one branch record on the wire — trace.Branch with wire
-// names and without the trace-replay-only fields.
+// names and without the trace-replay-only fields. The three one-byte
+// fields sit together, so a record takes 24 bytes; encoding/json writes
+// the keys in this order.
 type BranchRec struct {
 	PC     uint64 `json:"pc"`
 	Target uint64 `json:"target,omitempty"`
 	// Kind is the trace.BranchType numeric value.
 	Kind  uint8 `json:"kind,omitempty"`
 	Taken bool  `json:"taken,omitempty"`
-	// Instructions is the straight-line instruction count preceding the
-	// branch (advances the session clock, which times pattern prefetch).
-	Instructions uint32 `json:"instr,omitempty"`
 	// TargetMiss marks a non-conditional transfer whose target the
 	// front-end missed (forces a pipeline reset, like trace replay).
 	TargetMiss bool `json:"target_miss,omitempty"`
+	// Instructions is the straight-line instruction count preceding the
+	// branch (advances the session clock, which times pattern prefetch).
+	Instructions uint32 `json:"instr,omitempty"`
 }
 
 // Branch converts the wire record to a trace.Branch.

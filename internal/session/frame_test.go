@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestFrameReaderWellFormed(t *testing.T) {
@@ -215,6 +216,15 @@ func TestFrameReaderOwnsBranches(t *testing.T) {
 	}
 }
 
+// TestBranchRecSize pins a record at 24 bytes: its three one-byte
+// fields sit together, so padding adds 1 byte to its 23 rather than 9.
+// Every decoded frame allocates one record per branch.
+func TestBranchRecSize(t *testing.T) {
+	if got := unsafe.Sizeof(BranchRec{}); got != 24 {
+		t.Fatalf("BranchRec is %d bytes, want 24", got)
+	}
+}
+
 // TestFrameReaderFallbackParity feeds valid JSON outside the fast path's
 // shape: the fast path must decline each line, and Next must return the
 // frame json.Unmarshal decodes from it.
@@ -235,6 +245,7 @@ func TestFrameReaderFallbackParity(t *testing.T) {
 		{"frame keys out of order", `{"seq":1,"type":"branch-batch","branches":[{"pc":4}]}`},
 		{"explicit taken false", `{"type":"branch-batch","seq":1,"branches":[{"pc":4,"taken":false}]}`},
 		{"explicit target_miss false", `{"type":"branch-batch","seq":1,"branches":[{"pc":4,"target_miss":false}]}`},
+		{"instr before target_miss", `{"type":"branch-batch","seq":1,"branches":[{"pc":4,"taken":true,"instr":7,"target_miss":true}]}`},
 	} {
 		if _, ok := decodeFast([]byte(tc.line)); ok {
 			t.Errorf("%s: fast path accepted %s", tc.name, tc.line)
@@ -330,6 +341,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":4,"instr":4294967295}]}`))
 	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":4,"instr":4294967296}]}`))
 	f.Add([]byte(`{"type":"branch{batch","seq":1,"branches":[{"pc":4},{"pc":8}]}`))
+	// A record in the key order written before target_miss moved next to
+	// taken: declined, and decoded by json.Unmarshal.
+	f.Add([]byte(`{"type":"branch-batch","seq":1,"branches":[{"pc":4,"taken":true,"instr":7,"target_miss":true}]}`))
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		got, ok := decodeFast(line)

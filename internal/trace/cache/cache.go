@@ -11,11 +11,17 @@
 // the matrix's sweep budgets (e.g. 500k) share storage with its headline
 // budgets (e.g. 1.2M) instead of duplicating them.
 //
-// Storage is struct-of-arrays: PCs, targets and instruction gaps in their
-// own slices plus one packed meta byte per branch (bits 0-2 type, bit 3
-// taken, bit 4 target miss — the trace file encoding), 21 bytes per
-// branch instead of the 32 of []trace.Branch, and replayed zero-copy by
-// every acquirer.
+// Storage is struct-of-arrays, 10 bytes per branch instead of the 32 of
+// []trace.Branch, replayed zero-copy by every acquirer: a 32-bit PC, a
+// 32-bit target, an 8-bit instruction gap and one packed meta byte
+// (bits 0-2 type, bit 3 taken, bit 4 target miss — the trace file
+// encoding). Every Keyer in the repository is a synthetic workload, whose
+// code sits below 2^32 (workload.Params.Validate bounds it) and whose
+// gaps are at most 64 instructions. A branch that does not fit — PC or
+// target at or above 2^32, gap above 255 — ends the materialized stream
+// with a sticky error naming its index, like a generator error: requests
+// past it fail rather than replay a truncated or altered stream, and
+// prefixes before it still replay.
 //
 // Lifecycle: Acquire returns a ref-counted Handle (itself a
 // trace.BatchSource) pinning the entry; Release unpins it. Population is
@@ -28,6 +34,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"llbp/internal/telemetry"
@@ -35,25 +42,29 @@ import (
 )
 
 // Keyer is implemented by trace.Sources whose stream is a pure function
-// of (Name, CacheKey) — same pair, same branches, on every Open. Sources
-// without it are not cached (their content may change between Opens,
-// e.g. a rewritten trace file).
+// of (Name, CacheKey) — same pair, same branches, on every Open — and
+// whose branches fit the columns: PC and target below 2^32, at most 255
+// instructions per gap. Sources without it are not cached (their content
+// may change between Opens, e.g. a rewritten trace file).
 type Keyer interface {
 	// CacheKey returns the stream identity beyond the name (typically
 	// the synthesis seed).
 	CacheKey() uint64
 }
 
-// bytesPerBranch is the columnar footprint: 8 (PC) + 8 (target) +
-// 4 (instructions) + 1 (meta).
-const bytesPerBranch = 21
+// bytesPerBranch is the columnar footprint: 4 (PC) + 4 (target) +
+// 1 (instructions) + 1 (meta).
+const bytesPerBranch = 10
 
 // materializeChunk is the generator read granularity during population.
 const materializeChunk = 8192
 
-// DefaultBudgetBytes bounds the process-wide Default cache: the full
-// 14-workload matrix at headline budgets is ~350 MiB, so 512 MiB holds
-// everything with headroom.
+// DefaultBudgetBytes bounds the process-wide Default cache. The full
+// experiment matrix keeps 17.8M branches resident: 1.2M per workload at
+// the headline budgets (`traceinfo -workload all -branches 1200000`
+// reports 168,000,000 bytes) plus ExtScale's extension of Tomcat to
+// 2.2M. At 10 bytes per branch that is 178,000,000 bytes (≈170 MiB), so
+// 512 MiB holds everything with headroom.
 const DefaultBudgetBytes = 512 << 20
 
 type key struct {
@@ -67,9 +78,9 @@ type entry struct {
 	key key
 
 	mu      sync.Mutex
-	pcs     []uint64
-	targets []uint64
-	instrs  []uint32
+	pcs     []uint32
+	targets []uint32
+	instrs  []uint8
 	meta    []uint8
 	gen     trace.BatchReader // retained generator, nil until first fill
 	genErr  error             // sticky terminal error (io.EOF = finite stream done)
@@ -257,9 +268,10 @@ func keyOf(src trace.Source) (key, bool) {
 }
 
 // fill extends e's columns to n branches by resuming (or opening) the
-// generator. Caller holds e.mu. Terminal generator errors are recorded
-// sticky in e.genErr; the columns keep every branch read before the
-// error, so prefix requests still succeed.
+// generator. Caller holds e.mu. Terminal generator errors, and the first
+// branch that does not fit the columns, are recorded sticky in e.genErr;
+// the columns keep every branch before it, so prefix requests still
+// succeed.
 func (c *Cache) fill(e *entry, src trace.Source, n uint64) error {
 	if e.gen == nil {
 		e.gen = trace.OpenBatched(src)
@@ -267,9 +279,9 @@ func (c *Cache) fill(e *entry, src trace.Source, n uint64) error {
 	before := e.bytes()
 	need := n - uint64(len(e.pcs))
 	if grow := int(n) - cap(e.pcs); grow > 0 {
-		e.pcs = append(make([]uint64, 0, n), e.pcs...)
-		e.targets = append(make([]uint64, 0, n), e.targets...)
-		e.instrs = append(make([]uint32, 0, n), e.instrs...)
+		e.pcs = append(make([]uint32, 0, n), e.pcs...)
+		e.targets = append(make([]uint32, 0, n), e.targets...)
+		e.instrs = append(make([]uint8, 0, n), e.instrs...)
 		e.meta = append(make([]uint8, 0, n), e.meta...)
 	}
 	scratch := make([]trace.Branch, materializeChunk)
@@ -281,6 +293,11 @@ func (c *Cache) fill(e *entry, src trace.Source, n uint64) error {
 		got, err := e.gen.ReadBatch(chunk)
 		for i := 0; i < got; i++ {
 			b := &chunk[i]
+			if b.PC > math.MaxUint32 || b.Target > math.MaxUint32 || b.Instructions > math.MaxUint8 {
+				got, err = i, fmt.Errorf("branch %d (pc %#x, target %#x, %d instructions) does not fit the cache's 32-bit addresses and 8-bit gaps",
+					len(e.pcs), b.PC, b.Target, b.Instructions)
+				break
+			}
 			m := uint8(b.Type)
 			if b.Taken {
 				m |= 1 << 3
@@ -288,9 +305,9 @@ func (c *Cache) fill(e *entry, src trace.Source, n uint64) error {
 			if b.MispredictedTarget {
 				m |= 1 << 4
 			}
-			e.pcs = append(e.pcs, b.PC)
-			e.targets = append(e.targets, b.Target)
-			e.instrs = append(e.instrs, b.Instructions)
+			e.pcs = append(e.pcs, uint32(b.PC))
+			e.targets = append(e.targets, uint32(b.Target))
+			e.instrs = append(e.instrs, uint8(b.Instructions))
 			e.meta = append(e.meta, m)
 		}
 		need -= uint64(got)

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"llbp/internal/telemetry"
 	"llbp/internal/trace"
@@ -248,6 +250,60 @@ func TestGeneratorError(t *testing.T) {
 	}
 	if src.opens != 1 {
 		t.Errorf("failed generator reopened: %d opens", src.opens)
+	}
+}
+
+// TestMisfitBranch: a branch the 10-byte columns cannot hold — PC or
+// target at 2^32, or a 256-instruction gap — ends the stream with a
+// sticky error naming its index. Requests past it fail; a handle taken
+// earlier for a prefix, and prefix requests after it, still replay.
+func TestMisfitBranch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*trace.Branch)
+	}{
+		{"pc", func(b *trace.Branch) { b.PC = 1 << 32 }},
+		{"target", func(b *trace.Branch) { b.Target = 1 << 32 }},
+		{"gap", func(b *trace.Branch) { b.Instructions = 256 }},
+	} {
+		src := newKeyedSource(tc.name, 6, 1000)
+		tc.mod(&src.branches[700])
+		c := New(1 << 20)
+		early, err := c.Acquire(src, 300)
+		if err != nil {
+			t.Fatalf("%s: prefix before the misfit: %v", tc.name, err)
+		}
+		for _, n := range []uint64{1000, 701, 800} {
+			_, err := c.Acquire(src, n)
+			if err == nil || !strings.Contains(err.Error(), "branch 700 ") {
+				t.Fatalf("%s: Acquire(%d) = %v, want an error naming branch 700", tc.name, n, err)
+			}
+		}
+		if got := drain(t, early); len(got) != 300 || got[299] != src.branches[299] {
+			t.Fatalf("%s: early prefix handle replays %d branches", tc.name, len(got))
+		}
+		early.Release()
+		h, err := c.Acquire(src, 700)
+		if err != nil {
+			t.Fatalf("%s: prefix up to the misfit: %v", tc.name, err)
+		}
+		if got := drain(t, h); len(got) != 700 || got[699] != src.branches[699] {
+			t.Fatalf("%s: prefix handle replays %d branches", tc.name, len(got))
+		}
+		h.Release()
+		if src.opens != 1 {
+			t.Errorf("%s: source opened %d times, want 1", tc.name, src.opens)
+		}
+	}
+}
+
+// TestBytesPerBranch: the footprint the budget counts is the columns'
+// element sizes.
+func TestBytesPerBranch(t *testing.T) {
+	var e entry
+	cols := unsafe.Sizeof(e.pcs[0]) + unsafe.Sizeof(e.targets[0]) + unsafe.Sizeof(e.instrs[0]) + unsafe.Sizeof(e.meta[0])
+	if cols != bytesPerBranch {
+		t.Fatalf("columns hold %d bytes per branch, bytesPerBranch = %d", cols, bytesPerBranch)
 	}
 }
 
@@ -498,5 +554,37 @@ func TestSetBudgetEvicts(t *testing.T) {
 	c.SetBudget(150 * bytesPerBranch) // room for one entry
 	if s := c.Stats(); s.Entries != 1 || s.Evictions != 3 {
 		t.Fatalf("after shrink: %+v", s)
+	}
+}
+
+// BenchmarkHandleReadBatch times the cache's decode: one op replays a
+// 1M-branch Tomcat handle through ReadBatch in sim.Run's 4096-branch
+// batches, so ns/op over 2^20 is the decode's ns per branch, the cost
+// perfbench reports as trace.decode_ns_per_branch. SetBytes counts the
+// stored column bytes, so MB/s is the bandwidth the decode reads.
+func BenchmarkHandleReadBatch(b *testing.B) {
+	wl, err := workload.ByName("Tomcat")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 1 << 20
+	h, err := New(0).Acquire(wl, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Release()
+	buf := make([]trace.Branch, 4096)
+	b.SetBytes(n * bytesPerBranch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := h.OpenBatch()
+		for got := 0; got < n; {
+			k, err := r.ReadBatch(buf)
+			got += k
+			if err != nil {
+				b.Fatalf("after %d branches: %v", got, err)
+			}
+		}
 	}
 }

@@ -19,9 +19,9 @@ type Handle struct {
 	e    *entry
 	name string
 
-	pcs     []uint64
-	targets []uint64
-	instrs  []uint32
+	pcs     []uint32
+	targets []uint32
+	instrs  []uint8
 	meta    []uint8
 
 	released atomic.Bool
@@ -100,24 +100,24 @@ type handleReader struct {
 	pos int
 }
 
-// decode expands record i into b.
-func (r *handleReader) decode(i int, b *trace.Branch) {
-	h := r.h
-	m := h.meta[i]
-	b.PC = h.pcs[i]
-	b.Target = h.targets[i]
-	b.Type = trace.BranchType(m & 0x7)
-	b.Taken = m&(1<<3) != 0
-	b.MispredictedTarget = m&(1<<4) != 0
-	b.Instructions = h.instrs[i]
+// expand writes one stored branch into b: the only decode of the
+// columns, shared by Read and ReadBatch.
+func expand(b *trace.Branch, pc, target uint32, instrs, meta uint8) {
+	b.PC = uint64(pc)
+	b.Target = uint64(target)
+	b.Type = trace.BranchType(meta & 0x7)
+	b.Taken = meta&(1<<3) != 0
+	b.MispredictedTarget = meta&(1<<4) != 0
+	b.Instructions = uint32(instrs)
 }
 
 // Read implements trace.Reader.
 func (r *handleReader) Read(b *trace.Branch) error {
-	if r.pos >= len(r.h.pcs) {
+	h, i := r.h, r.pos
+	if i >= len(h.pcs) {
 		return io.EOF
 	}
-	r.decode(r.pos, b)
+	expand(b, h.pcs[i], h.targets[i], h.instrs[i], h.meta[i])
 	r.pos++
 	return nil
 }
@@ -127,16 +127,24 @@ func (r *handleReader) ReadBatch(dst []trace.Branch) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	rem := len(r.h.pcs) - r.pos
+	h, lo := r.h, r.pos
+	rem := len(h.pcs) - lo
 	if rem <= 0 {
 		return 0, io.EOF
 	}
-	n := len(dst)
-	if n > rem {
-		n = rem
+	out := dst
+	if len(out) > rem {
+		out = out[:rem]
 	}
-	for i := 0; i < n; i++ {
-		r.decode(r.pos+i, &dst[i])
+	// Columns re-sliced to out's length let the compiler drop the
+	// per-branch bounds checks.
+	n := len(out)
+	pcs := h.pcs[lo : lo+n]
+	targets := h.targets[lo : lo+n]
+	instrs := h.instrs[lo : lo+n]
+	meta := h.meta[lo : lo+n]
+	for i := range out {
+		expand(&out[i], pcs[i], targets[i], instrs[i], meta[i])
 	}
 	r.pos += n
 	if n < len(dst) {

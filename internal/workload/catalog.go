@@ -165,28 +165,47 @@ func catalogParams() []Params {
 	}
 }
 
-var (
-	catalogOnce sync.Once
-	catalogSrcs []*Source
-	catalogIdx  map[string]*Source
-)
-
-func initCatalog() {
-	params := catalogParams()
-	catalogSrcs = make([]*Source, len(params))
-	catalogIdx = make(map[string]*Source, len(params))
-	for i, p := range params {
-		catalogSrcs[i] = MustNew(p)
-		catalogIdx[p.Name] = catalogSrcs[i]
-	}
+// catalog is a set of catalog sources and their index by name. Making
+// one validates the params of all 14 workloads and builds no program:
+// each Source builds its own on first use.
+type catalog struct {
+	srcs []*Source
+	idx  map[string]*Source
 }
+
+func newCatalog() *catalog {
+	params := catalogParams()
+	c := &catalog{srcs: make([]*Source, len(params)), idx: make(map[string]*Source, len(params))}
+	for i, p := range params {
+		c.srcs[i] = MustNew(p)
+		c.idx[p.Name] = c.srcs[i]
+	}
+	return c
+}
+
+func (c *catalog) byName(name string) (*Source, error) {
+	s, ok := c.idx[name]
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown workload %q (have %v)", name, c.names())
+	}
+	return s, nil
+}
+
+func (c *catalog) names() []string {
+	out := make([]string, len(c.srcs))
+	for i, s := range c.srcs {
+		out[i] = s.Name()
+	}
+	return out
+}
+
+// shared is the process's catalog, made on first use.
+var shared = sync.OnceValue(newCatalog)
 
 // Catalog returns the 14 Table I workloads, in the paper's order. Sources
-// are shared and immutable; Open gives independent replay streams.
-func Catalog() []*Source {
-	catalogOnce.Do(initCatalog)
-	return catalogSrcs
-}
+// are shared and safe for concurrent use; Open gives independent replay
+// streams.
+func Catalog() []*Source { return shared().srcs }
 
 // ServerWorkloads returns the ten gem5-style server workloads (the subset
 // used by the hardware study of Figure 1).
@@ -194,22 +213,8 @@ func ServerWorkloads() []*Source {
 	return Catalog()[:10]
 }
 
-// ByName looks up a catalog workload.
-func ByName(name string) (*Source, error) {
-	catalogOnce.Do(initCatalog)
-	s, ok := catalogIdx[name]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown workload %q (have %v)", name, Names())
-	}
-	return s, nil
-}
+// ByName looks up a catalog workload. It builds no program.
+func ByName(name string) (*Source, error) { return shared().byName(name) }
 
 // Names returns the catalog workload names in order.
-func Names() []string {
-	catalogOnce.Do(initCatalog)
-	out := make([]string, len(catalogSrcs))
-	for i, s := range catalogSrcs {
-		out[i] = s.Name()
-	}
-	return out
-}
+func Names() []string { return shared().names() }

@@ -2,14 +2,20 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"llbp/internal/trace"
 )
 
 // Source is a replayable workload: it implements trace.Source, producing
-// identical branch streams on every Open.
+// identical branch streams on every Open. Its program is built on first
+// use — the first Open, OpenBatch, StaticBranches or ClassMap — so a
+// catalog lookup costs nothing until a workload is replayed. The program
+// draws only from its own seeded generator, so building it alone or
+// beside the rest of the catalog yields the same program.
 type Source struct {
 	params Params
+	once   sync.Once
 	prog   *program
 }
 
@@ -18,13 +24,19 @@ var (
 	_ trace.BatchSource = (*Source)(nil)
 )
 
-// New constructs a workload source from params.
+// New constructs a workload source from params. The params are validated
+// here; the program is built on first use.
 func New(params Params) (*Source, error) {
-	prog, err := buildProgram(params)
-	if err != nil {
+	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Source{params: params, prog: prog}, nil
+	return &Source{params: params}, nil
+}
+
+// program returns the source's program, building it on first call.
+func (s *Source) program() *program {
+	s.once.Do(func() { s.prog = buildProgram(s.params) })
+	return s.prog
 }
 
 // MustNew is New panicking on invalid params (for the static catalog).
@@ -43,7 +55,7 @@ func (s *Source) Name() string { return s.params.Name }
 func (s *Source) Params() Params { return s.params }
 
 // StaticBranches returns the static conditional working-set size.
-func (s *Source) StaticBranches() int { return s.prog.StaticBranches() }
+func (s *Source) StaticBranches() int { return s.program().StaticBranches() }
 
 // ClassMap returns the behaviour class of every conditional site, keyed by
 // PC. Loop headers are not included (they are trip-count behaviour, not a
@@ -61,7 +73,7 @@ func (s *Source) ClassMap() map[uint64]BehaviorClass {
 			}
 		}
 	}
-	for _, fn := range s.prog.fns {
+	for _, fn := range s.program().fns {
 		for i := range fn.sites {
 			walk(&fn.sites[i])
 		}
@@ -70,11 +82,11 @@ func (s *Source) ClassMap() map[uint64]BehaviorClass {
 }
 
 // Open implements trace.Source: a fresh executor over the program.
-func (s *Source) Open() trace.Reader { return newExecutor(s.prog) }
+func (s *Source) Open() trace.Reader { return newExecutor(s.program()) }
 
 // OpenBatch implements trace.BatchSource: the executor fills whole
 // batches without the per-record shim.
-func (s *Source) OpenBatch() trace.BatchReader { return newExecutor(s.prog) }
+func (s *Source) OpenBatch() trace.BatchReader { return newExecutor(s.program()) }
 
 // CacheKey implements the trace/cache Keyer convention: equal
 // (Name, Seed) pairs replay identical streams, so the seed is the only

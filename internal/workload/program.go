@@ -1,7 +1,5 @@
 package workload
 
-import "fmt"
-
 // siteKind discriminates the site types a function body is built from.
 type siteKind uint8
 
@@ -59,13 +57,19 @@ const (
 	codeBase   = 0x0000_0000_0040_0000
 	fnStride   = 0x1000 // address space per function
 	instrWidth = 4
+
+	// maxFunctions is the largest Functions count whose code stays
+	// below 2^32, the width the trace cache stores PCs and targets in.
+	// The last function starts one stride below 2^32, and it is a leaf
+	// of at most four sites, so its PCs and targets (pc+64) fit its
+	// stride. Lower functions sit below 2^31 + codeBase and would need
+	// bodies of 2^29 sites to reach 2^32.
+	maxFunctions = (1<<32 - codeBase) / fnStride
 )
 
-// buildProgram deterministically constructs the static program for p.
-func buildProgram(p Params) (*program, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+// buildProgram deterministically constructs the static program for p,
+// which New has validated.
+func buildProgram(p Params) *program {
 	r := newRNG(p.Seed)
 	prog := &program{
 		params:     p,
@@ -82,7 +86,7 @@ func buildProgram(p Params) (*program, error) {
 	for i := range prog.entries {
 		prog.entries[i] = i
 	}
-	return prog, nil
+	return prog
 }
 
 // leafTierStart returns the function id at which the leaf tier begins:
@@ -285,31 +289,4 @@ func staticBranchesIn(s *site) int {
 	default:
 		return 0
 	}
-}
-
-// classCounts tallies conditional sites per behaviour class.
-func (pr *program) classCounts() map[BehaviorClass]int {
-	out := make(map[BehaviorClass]int)
-	var walk func(*site)
-	walk = func(s *site) {
-		switch s.kind {
-		case siteCond:
-			out[s.class]++
-		case siteLoop:
-			for i := range s.inner {
-				walk(&s.inner[i])
-			}
-		}
-	}
-	for _, fn := range pr.fns {
-		for i := range fn.sites {
-			walk(&fn.sites[i])
-		}
-	}
-	return out
-}
-
-func (pr *program) String() string {
-	return fmt.Sprintf("program{%s: %d fns, %d static branches}",
-		pr.params.Name, len(pr.fns), pr.StaticBranches())
 }

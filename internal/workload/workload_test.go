@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"llbp/internal/trace"
@@ -46,6 +49,87 @@ func TestByName(t *testing.T) {
 	}
 	if len(Names()) != 14 {
 		t.Error("Names must list the catalog")
+	}
+	for i, name := range Names() {
+		if s, err := ByName(name); err != nil || s != Catalog()[i] {
+			t.Errorf("ByName(%q) = %p, %v; Catalog()[%d] = %p", name, s, err, i, Catalog()[i])
+		}
+	}
+}
+
+// built reports which of srcs have built their program. Callers run it
+// with no Source being built concurrently.
+func built(srcs []*Source) []bool {
+	out := make([]bool, len(srcs))
+	for i, s := range srcs {
+		out[i] = s.prog != nil
+	}
+	return out
+}
+
+// TestByNameBuildsOnlyItsOwnProgram: a catalog builds no program, a
+// lookup builds none, and replaying a workload builds its program alone,
+// identical to the one a fresh source of the same params builds.
+func TestByNameBuildsOnlyItsOwnProgram(t *testing.T) {
+	c := newCatalog()
+	s, err := c.byName("Tomcat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s != c.srcs[7] {
+		t.Fatal("byName returned a source outside its catalog")
+	}
+	want := make([]bool, len(c.srcs))
+	if got := built(c.srcs); !slices.Equal(got, want) {
+		t.Fatalf("lookup built programs: %v", got)
+	}
+	got := readN(t, s.Open(), 20_000)
+	want[7] = true
+	if b := built(c.srcs); !slices.Equal(b, want) {
+		t.Fatalf("replaying Tomcat built %v, want only Tomcat", b)
+	}
+	alone := readN(t, MustNew(s.Params()).Open(), 20_000)
+	if !slices.Equal(got, alone) {
+		t.Fatal("a program built alone differs from the catalog's")
+	}
+}
+
+// TestConcurrentByNameBuildsOnce: concurrent lookups and replays of
+// every catalog workload, under -race, see one program per source.
+func TestConcurrentByNameBuildsOnce(t *testing.T) {
+	c := newCatalog()
+	const workers = 4
+	progs := make([][]*program, workers)
+	var wg sync.WaitGroup
+	for w := range progs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, name := range c.names() {
+				s, err := c.byName(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := ByName(name); err != nil {
+					t.Error(err)
+					return
+				}
+				s.StaticBranches()
+				progs[w] = append(progs[w], s.program())
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, s := range c.srcs {
+		for w := range progs {
+			if progs[w][i] != s.prog {
+				t.Fatalf("%s: worker %d saw program %p, source holds %p", s.Name(), w, progs[w][i], s.prog)
+			}
+		}
 	}
 }
 
@@ -212,6 +296,30 @@ func TestValidation(t *testing.T) {
 		mod(&p)
 		if _, err := New(p); err == nil {
 			t.Errorf("bad params %d accepted", i)
+		}
+	}
+}
+
+// TestValidationAddressBound: Validate admits the largest Functions
+// count whose code stays below 2^32 and rejects one more, naming the
+// bound. New builds no program, so the largest count costs nothing here.
+func TestValidationAddressBound(t *testing.T) {
+	if codeBase+maxFunctions*fnStride > 1<<32 || codeBase+(maxFunctions+1)*fnStride <= 1<<32 {
+		t.Fatalf("maxFunctions %d is not the last whole stride below 2^32", maxFunctions)
+	}
+	p := Catalog()[0].Params()
+	p.Functions = maxFunctions
+	if _, err := New(p); err != nil {
+		t.Fatalf("%d functions rejected: %v", p.Functions, err)
+	}
+	p.Functions++
+	_, err := New(p)
+	if err == nil {
+		t.Fatalf("%d functions accepted", p.Functions)
+	}
+	for _, want := range []string{"2^32", "1047552"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
 		}
 	}
 }

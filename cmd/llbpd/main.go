@@ -164,11 +164,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	h := experiments.NewHarness(cfg)
 
-	// detflow flags this call: the wall-clock tracer rides inside
-	// Options and taint tracking is field-coarse, so the whole server
-	// looks clock-derived even though the job log journals only job
-	// specs and states. Grandfathered in lint.baseline until the engine
-	// learns field sensitivity.
+	//llbplint:allow detflow -- the wall-clock tracer rides inside Options and taint tracking is field-coarse, so the whole server looks clock-derived even though the job log journals only job specs and states
 	srv, err := service.New(service.Options{
 		Runner:             h,
 		Workers:            *workers,

@@ -1,15 +1,15 @@
 // Command llbplint runs the repository's custom static-analysis suite
-// (internal/lint) over Go packages and fails on any new diagnostic. It
-// is a tier-1 CI gate alongside go vet.
+// (internal/lint) over Go packages and fails on any diagnostic. It is a
+// tier-1 CI gate alongside go vet.
 //
 // Usage:
 //
-//	llbplint [-C dir] [-json] [-baseline file] [-write-baseline]
-//	         [-fix | -diff] [-<analyzer>=false ...] [packages]
+//	llbplint [-C dir] [-json] [-list] [-fix | -diff] [packages]
 //
-// Packages default to ./... . Each analyzer has a disable flag named
-// after it (e.g. -determinism=false). Findings that are intentional are
-// suppressed in the source with a justified directive:
+// Packages default to ./... . Every analyzer runs; each decides from a
+// package's import path whether the package is in its scope. A finding
+// that is intentional is suppressed in the source, and only there, with
+// a justified directive:
 //
 //	//llbplint:allow <analyzer> -- <reason>
 //
@@ -17,18 +17,11 @@
 // finding (dead-allow detection): stale suppressions rot into false
 // documentation, so the driver fails until they are deleted.
 //
-// Grandfathered findings live in the committed baseline file (default
-// lint.baseline, resolved relative to -C): findings whose
-// file+analyzer+message appear there are reported as grandfathered and
-// do not fail the run; anything new does. -write-baseline regenerates
-// the file from the current findings.
-//
 // -fix applies the two mechanical autofixes in place (sorted-key map
 // range rewrite, missing-justification stub); -diff prints the same
 // patch without writing.
 //
-// Exit status: 0 clean (or baseline-covered), 1 new findings, 2 usage
-// or load failure.
+// Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
@@ -39,7 +32,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"llbp/internal/lint"
@@ -65,37 +57,22 @@ type jsonDiagnostic struct {
 	Column   int    `json:"column"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	// Grandfathered marks findings covered by the baseline file; they
-	// are reported but do not fail the run.
-	Grandfathered bool `json:"grandfathered,omitempty"`
 	// Path is the interprocedural evidence chain (source→sink for
 	// detflow, root→write for fencecheck, the acquisition chain for
 	// lockorder).
 	Path []jsonStep `json:"path,omitempty"`
 }
 
-// baselineKey identifies a finding across runs: file and message are
-// stable, line numbers are not.
-func baselineKey(d jsonDiagnostic) string {
-	return d.File + "\t" + d.Analyzer + "\t" + d.Message
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("llbplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dir       = fs.String("C", ".", "change to `dir` (the module root) before loading packages")
-		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array")
-		listAll   = fs.Bool("list", false, "list the analyzers and exit")
-		baseFile  = fs.String("baseline", "lint.baseline", "grandfathered-findings `file` (relative to -C; missing file means empty baseline)")
-		writeBase = fs.Bool("write-baseline", false, "rewrite the baseline file from the current findings and exit")
-		doFix     = fs.Bool("fix", false, "apply the mechanical autofixes in place")
-		doDiff    = fs.Bool("diff", false, "print the autofix patch without applying it")
+		dir     = fs.String("C", ".", "change to `dir` (the module root) before loading packages")
+		jsonOut = fs.Bool("json", false, "emit diagnostics as a JSON array")
+		listAll = fs.Bool("list", false, "list the analyzers and exit")
+		doFix   = fs.Bool("fix", false, "apply the mechanical autofixes in place")
+		doDiff  = fs.Bool("diff", false, "print the autofix patch without applying it")
 	)
-	enabled := map[string]*bool{}
-	for _, a := range lint.All() {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer")
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -137,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags = append(diags, sup.Problems()...)
 	for _, pkg := range pkgs {
 		for _, a := range lint.All() {
-			if a.Run == nil || !*enabled[a.Name] {
+			if a.Run == nil {
 				continue
 			}
 			ds, err := analysis.Run(a, fset, pkg.Files, pkg.Types, pkg.TypesInfo, sup)
@@ -158,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	for _, a := range lint.All() {
-		if a.RunProgram == nil || !*enabled[a.Name] {
+		if a.RunProgram == nil {
 			continue
 		}
 		ds, err := analysis.RunProgram(a, fset, progPkgs, sup)
@@ -168,12 +145,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		diags = append(diags, ds...)
 	}
-	// Dead-allow detection runs after every enabled analyzer has had
-	// the chance to use each directive.
-	diags = append(diags, sup.Stale(func(name string) bool {
-		on, ok := enabled[name]
-		return ok && *on
-	})...)
+	// Dead-allow detection runs after every analyzer has had the chance
+	// to use each directive.
+	diags = append(diags, sup.Stale()...)
 	analysis.SortDiagnostics(fset, diags)
 
 	all := make([]jsonDiagnostic, 0, len(diags))
@@ -193,37 +167,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		all = append(all, jd)
 	}
 
-	basePath := *baseFile
-	if !filepath.IsAbs(basePath) {
-		basePath = filepath.Join(absDir, basePath)
-	}
-	if *writeBase {
-		if err := writeBaseline(basePath, all); err != nil {
-			fmt.Fprintln(stderr, "llbplint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "llbplint: wrote %d finding(s) to %s\n", len(all), *baseFile)
-		return 0
-	}
 	if *doFix || *doDiff {
 		return runFixes(absDir, all, *doFix, stdout, stderr)
-	}
-
-	base, err := readBaseline(basePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "llbplint:", err)
-		return 2
-	}
-	newCount, grandfathered := 0, 0
-	for i := range all {
-		key := baselineKey(all[i])
-		if base[key] > 0 {
-			base[key]--
-			all[i].Grandfathered = true
-			grandfathered++
-		} else {
-			newCount++
-		}
 	}
 
 	if *jsonOut {
@@ -235,28 +180,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		for _, d := range all {
-			tag := ""
-			if d.Grandfathered {
-				tag = " (grandfathered)"
-			}
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s%s\n", d.File, d.Line, d.Column, d.Analyzer, d.Message, tag)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", d.File, d.Line, d.Column, d.Analyzer, d.Message)
 			for _, s := range d.Path {
 				fmt.Fprintf(stdout, "\t%s:%d: %s\n", s.File, s.Line, s.Note)
 			}
 		}
 	}
-	if grandfathered > 0 {
-		fmt.Fprintf(stderr, "llbplint: %d grandfathered finding(s) tracked in %s\n", grandfathered, *baseFile)
-	}
-	if newCount > 0 {
-		fmt.Fprintf(stderr, "llbplint: %d new finding(s)\n", newCount)
+	if len(all) > 0 {
+		fmt.Fprintf(stderr, "llbplint: %d finding(s)\n", len(all))
 		return 1
 	}
 	return 0
 }
 
 // relTo renders path relative to the analysis root with forward
-// slashes, so baseline keys are stable across machines and working
+// slashes, so reported files read the same across machines and working
 // directories.
 func relTo(root, path string) string {
 	rel, err := filepath.Rel(root, path)
@@ -264,41 +202,4 @@ func relTo(root, path string) string {
 		return filepath.ToSlash(path)
 	}
 	return filepath.ToSlash(rel)
-}
-
-// readBaseline parses the baseline file into a key→count multiset. A
-// missing file is an empty baseline.
-func readBaseline(path string) (map[string]int, error) {
-	base := map[string]int{}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return base, nil
-		}
-		return nil, err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		base[line]++
-	}
-	return base, nil
-}
-
-// writeBaseline renders the findings as sorted baseline lines.
-func writeBaseline(path string, all []jsonDiagnostic) error {
-	lines := make([]string, 0, len(all))
-	for _, d := range all {
-		lines = append(lines, baselineKey(d))
-	}
-	sort.Strings(lines)
-	var b strings.Builder
-	b.WriteString("# llbplint baseline: grandfathered findings (file<TAB>analyzer<TAB>message).\n")
-	b.WriteString("# Regenerate with: go run ./cmd/llbplint -write-baseline ./...\n")
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
 }

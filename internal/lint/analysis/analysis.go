@@ -34,8 +34,8 @@ import (
 // package at once (the interprocedural analyzers need whole-program
 // object identity to walk call graphs across package boundaries).
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, disable flags and
-	// allow directives. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics and allow directives.
+	// It must be a valid identifier.
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
@@ -178,7 +178,7 @@ func (s *Suppressions) Allows(fset *token.FileSet, name string, pos token.Pos) b
 		if !d.justified || d.file != p.Filename {
 			continue
 		}
-		if (d.line == p.Line || d.line == p.Line-1) && (d.analyzers[name] || d.analyzers["all"]) {
+		if (d.line == p.Line || d.line == p.Line-1) && d.analyzers[name] {
 			d.used = true
 			return true
 		}
@@ -188,24 +188,13 @@ func (s *Suppressions) Allows(fset *token.FileSet, name string, pos token.Pos) b
 
 // Stale returns one diagnostic per justified directive that suppressed
 // nothing during the run — a dead allow whose underlying finding no
-// longer fires, so the justification is rot. Directives naming only
-// analyzers for which active(name) is false are skipped (the finding may
-// fire when that analyzer is re-enabled). Call it after every analyzer
-// has run.
-func (s *Suppressions) Stale(active func(name string) bool) []Diagnostic {
+// longer fires (or that names no analyzer of the suite), so the
+// justification is rot. Call it after every analyzer has run.
+func (s *Suppressions) Stale() []Diagnostic {
 	var out []Diagnostic
 	for i := range s.directives {
 		d := &s.directives[i]
 		if !d.justified || d.used {
-			continue
-		}
-		anyActive := d.analyzers["all"]
-		for name := range d.analyzers {
-			if name != "all" && active(name) {
-				anyActive = true
-			}
-		}
-		if !anyActive {
 			continue
 		}
 		names := make([]string, 0, len(d.analyzers))

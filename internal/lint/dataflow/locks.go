@@ -282,8 +282,8 @@ func (w *lockWalker) call(call *ast.CallExpr) {
 		}
 		return
 	}
-	if what, ok := w.instrumentUpdate(call); ok {
-		w.update(call.Pos(), what, nil)
+	if typ, method, ok := InstrumentUpdate(w.info, call); ok {
+		w.update(call.Pos(), typ+"."+method, nil)
 		return
 	}
 	callee := CalleeFunc(w.info, call)
@@ -440,24 +440,23 @@ func (w *lockWalker) isUnlock(call *ast.CallExpr) bool {
 	return kind == "release"
 }
 
-// instrumentUpdate recognizes telemetry instrument mutations —
-// Inc/Add/Set/Observe/Append on the telemetry package's types.
-func (w *lockWalker) instrumentUpdate(call *ast.CallExpr) (string, bool) {
-	fn := CalleeFunc(w.info, call)
-	if fn == nil {
-		return "", false
-	}
-	switch fn.Name() {
-	case "Inc", "Add", "Set", "Observe", "Append":
-	default:
-		return "", false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.Underlying().(*types.Pointer); ok {
+// instrumentTypes are the nil-safe instrument and factory types of the
+// telemetry package. Snapshot and DTO types are plain data and exempt.
+var instrumentTypes = map[string]bool{
+	"Counter": true, "Gauge": true, "Histogram": true,
+	"Series": true, "Registry": true, "Tracer": true,
+}
+
+// Instrument reports whether t, possibly behind pointers, is an
+// instrument or factory type declared in a package whose import path
+// ends in "telemetry", and names the type. It and InstrumentUpdate are
+// the one instrument classifier lockorder and telemetrysafe share.
+func Instrument(t types.Type) (string, bool) {
+	for {
+		p, ok := t.(*types.Pointer)
+		if !ok {
+			break
+		}
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
@@ -465,14 +464,31 @@ func (w *lockWalker) instrumentUpdate(call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || lastSegment(obj.Pkg().Path()) != "telemetry" {
+	if obj.Pkg() == nil || lastSegment(obj.Pkg().Path()) != "telemetry" || !instrumentTypes[obj.Name()] {
 		return "", false
 	}
-	switch obj.Name() {
-	case "Counter", "Gauge", "Histogram", "Series", "Registry", "Tracer":
-		return obj.Name() + "." + fn.Name(), true
+	return obj.Name(), true
+}
+
+// InstrumentUpdate reports whether call mutates a telemetry instrument
+// (Inc/Add/Set/Observe/Append on an Instrument type), naming the type
+// and the method.
+func InstrumentUpdate(info *types.Info, call *ast.CallExpr) (typ, method string, ok bool) {
+	fn := CalleeFunc(info, call)
+	if fn == nil {
+		return "", "", false
 	}
-	return "", false
+	switch fn.Name() {
+	case "Inc", "Add", "Set", "Observe", "Append":
+	default:
+		return "", "", false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return "", "", false
+	}
+	typ, ok = Instrument(recv.Type())
+	return typ, fn.Name(), ok
 }
 
 func exprText(e ast.Expr) string {

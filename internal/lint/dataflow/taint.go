@@ -602,7 +602,8 @@ func (w *taintWalker) call(call *ast.CallExpr) tval {
 
 	// Sanitizers launder their argument (sort.Strings(keys)) and their
 	// result (slices.Sorted(maps.Keys(m))).
-	if w.t.sanitize[fn] || builtinSanitizer(fn) {
+	kind, name := Std(fn)
+	if w.t.sanitize[fn] || kind == Sorts {
 		for _, a := range call.Args {
 			w.eval(a)
 			if id, ok := ast.Unparen(a).(*ast.Ident); ok {
@@ -622,7 +623,7 @@ func (w *taintWalker) call(call *ast.CallExpr) tval {
 		return tval{conc: []analysis.PathStep{
 			Step(call.Pos(), "annotated source %s (%s)", FuncName(fn), reason)}}
 	}
-	if desc, ok := builtinSource(fn); ok {
+	if desc, ok := stdSource(kind, name); ok {
 		for _, a := range call.Args {
 			w.eval(a)
 		}
@@ -709,50 +710,16 @@ func sinkName(fn *types.Func, sum *taintSummary, i int, direct bool) string {
 	return "(via " + FuncName(fn) + ")"
 }
 
-// builtinSource classifies stdlib functions whose results are
-// nondeterministic across runs.
-func builtinSource(fn *types.Func) (string, bool) {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil || fn.Pkg() == nil {
-		return "", false
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		switch fn.Name() {
-		case "Now", "Since", "Until":
-			return "time." + fn.Name(), true
-		}
-	case "math/rand", "math/rand/v2":
-		if !strings.HasPrefix(fn.Name(), "New") {
-			return fn.Pkg().Path() + "." + fn.Name() + " (global auto-seeded RNG)", true
-		}
-	case "maps":
-		switch fn.Name() {
-		case "Keys", "Values":
-			return "maps." + fn.Name() + " (map iteration order)", true
-		}
+// stdSource describes a table entry whose result differs across runs;
+// ok is false for the kinds that produce no tainted value.
+func stdSource(kind StdKind, name string) (string, bool) {
+	switch kind {
+	case ClockRead:
+		return name, true
+	case GlobalRand:
+		return name + " (global auto-seeded RNG)", true
+	case MapOrder:
+		return name + " (map iteration order)", true
 	}
 	return "", false
-}
-
-// builtinSanitizer classifies stdlib sorts: a sorted collection no
-// longer carries iteration-order taint.
-func builtinSanitizer(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil || fn.Pkg() == nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "sort":
-		switch fn.Name() {
-		case "Strings", "Ints", "Float64s", "Slice", "SliceStable", "Sort", "Stable":
-			return true
-		}
-	case "slices":
-		switch fn.Name() {
-		case "Sort", "SortFunc", "SortStableFunc", "Sorted", "SortedFunc", "SortedStableFunc":
-			return true
-		}
-	}
-	return false
 }

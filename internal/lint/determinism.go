@@ -3,63 +3,122 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"llbp/internal/lint/analysis"
+	"llbp/internal/lint/dataflow"
 )
 
 // Determinism flags nondeterminism sources inside simulation packages:
-// wall-clock reads, global math/rand state, and iteration over maps
-// (whose order Go randomizes). Simulation results must be a pure
-// function of (workload seed, predictor config), or the paper's
-// experiment tables stop being reproducible.
+// wall-clock reads and waits, global math/rand state, and loops that
+// follow map order, whether they range over the map itself or over
+// maps.Keys/maps.Values output that no sort has ordered. Simulation
+// results must be a pure function of (workload seed, predictor config),
+// or the paper's experiment tables stop being reproducible. The stdlib
+// calls come from dataflow.Std, the table detflow's taint reads too.
 //
-// Allowlisted package segments: cmd (drivers report wall-clock
-// progress), harness (deadlines and backoff jitter are wall-clock by
-// design), telemetry (the tracer timestamps events), service (the llbpd
-// daemon and its client live in wall-clock land: Retry-After backoff,
-// snapshot timestamps, drain deadlines), session (the streaming serving
-// layer shares service's clock discipline: lease TTLs and write
-// deadlines are wall-clock, while everything that feeds the journal or
-// the output log stays input-derived — detflow enforces that boundary),
-// and lint itself. Simulation results must stay a pure function of
-// (workload seed, predictor config) everywhere else.
+// Service packages (import-path segment "service") live in wall-clock
+// land (Retry-After backoff, snapshot timestamps, drain deadlines), so
+// only one rule applies there: no time.Sleep and no global RNG draw.
+// Failure timing and chaos randomness have to be injectable
+// (Options.Now, seeded streams) so a scenario replays from its seed,
+// and a sleep blocks with no context escape and no way for tests to
+// accelerate it. internal/chaos is a simulation package by this
+// definition and gets every rule.
+//
+// Other packages are exempt when their path has one of these segments:
+// cmd (drivers report wall-clock progress), harness (deadlines and
+// backoff jitter are wall-clock by design), telemetry (the tracer
+// timestamps events), session (the streaming serving layer shares
+// service's clock discipline: lease TTLs and write deadlines are
+// wall-clock, while everything that feeds the journal or the output log
+// stays input-derived, and detflow enforces that boundary), and lint
+// itself.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall clocks, global RNG and map iteration in simulation packages",
+	Doc:  "forbid wall clocks, global RNG and map-order loops in simulation packages, and time.Sleep and global RNG in service packages",
 	Run:  runDeterminism,
 }
 
-// wallClockFuncs are package-level time functions that read or depend on
-// the wall clock. Conversions and constructors like time.Duration or
-// time.Unix(sec, nsec) are pure and stay allowed.
-var wallClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "AfterFunc": true, "Tick": true,
-	"NewTicker": true, "NewTimer": true,
-}
-
 func runDeterminism(pass *analysis.Pass) error {
-	if hasSegment(pass.Pkg.Path(), "cmd", "harness", "telemetry", "service", "session", "lint") {
+	service := hasSegment(pass.Pkg.Path(), "service")
+	if !service && hasSegment(pass.Pkg.Path(), "cmd", "harness", "telemetry", "session", "lint") {
 		return nil
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				checkDeterminismUse(pass, n)
+				checkStdCall(pass, n, service)
 			case *ast.RangeStmt:
-				if t := pass.TypesInfo.TypeOf(n.X); t != nil {
-					if _, ok := t.Underlying().(*types.Map); ok && !orderInsensitiveBody(pass, n) {
-						pass.Reportf(n.Pos(),
-							"map iteration order is nondeterministic; sort the keys first (or justify with //llbplint:allow determinism)")
-					}
+				if !service {
+					checkMapOrder(pass, n)
 				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// checkStdCall reports a use of a table function the package's scope
+// forbids.
+func checkStdCall(pass *analysis.Pass, sel *ast.SelectorExpr, service bool) {
+	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	kind, name := dataflow.Std(fn)
+	switch {
+	case kind == dataflow.GlobalRand:
+		pass.Reportf(sel.Pos(),
+			"%s uses the global auto-seeded RNG; use a rand.New(rand.NewSource(seed)) owned by the component", name)
+	case service:
+		if kind == dataflow.ClockSleep {
+			pass.Reportf(sel.Pos(),
+				"time.Sleep blocks on the wall clock with no context escape; select on a timer and ctx.Done(), or derive the moment from the injected clock (Options.Now)")
+		}
+	case kind == dataflow.ClockRead || kind == dataflow.ClockTimer || kind == dataflow.ClockSleep:
+		pass.Reportf(sel.Pos(),
+			"%s depends on the wall clock; simulation packages must be deterministic (derive timing from the cycle model)", name)
+	}
+}
+
+// checkMapOrder reports a loop whose visiting order is a map's, unless
+// its body cannot observe the order.
+func checkMapOrder(pass *analysis.Pass, r *ast.RangeStmt) {
+	if orderInsensitiveBody(pass, r) {
+		return
+	}
+	if t := pass.TypesInfo.TypeOf(r.X); t != nil {
+		if _, ok := t.Underlying().(*types.Map); ok {
+			pass.Reportf(r.Pos(),
+				"map iteration order is nondeterministic; sort the keys first (or justify with //llbplint:allow determinism)")
+			return
+		}
+	}
+	if name := mapOrdered(pass, r.X); name != "" {
+		pass.Reportf(r.Pos(),
+			"loop follows the map order %s yields; range over slices.Sorted(%s(m)) instead (or justify with //llbplint:allow determinism)", name, name)
+	}
+}
+
+// mapOrdered names the table's MapOrder function whose order e carries:
+// maps.Keys(m) itself, or a call wrapping it that does not sort, such as
+// slices.Collect(maps.Keys(m)). It returns "" when there is none.
+func mapOrdered(pass *analysis.Pass, e ast.Expr) string {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	switch kind, name := dataflow.Std(dataflow.CalleeFunc(pass.TypesInfo, call)); kind {
+	case dataflow.MapOrder:
+		return name
+	case dataflow.Sorts:
+		return ""
+	}
+	for _, a := range call.Args {
+		if name := mapOrdered(pass, a); name != "" {
+			return name
+		}
+	}
+	return ""
 }
 
 // orderInsensitiveBody recognizes the two loop shapes whose result
@@ -99,32 +158,4 @@ func isBuiltinCall(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
 	}
 	_, ok = pass.TypesInfo.Uses[id].(*types.Builtin)
 	return ok
-}
-
-func checkDeterminismUse(pass *analysis.Pass, sel *ast.SelectorExpr) {
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		// Methods (e.g. (*rand.Rand).Intn on an explicitly seeded
-		// generator) are the sanctioned pattern.
-		return
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if wallClockFuncs[fn.Name()] {
-			pass.Reportf(sel.Pos(),
-				"time.%s depends on the wall clock; simulation packages must be deterministic (derive timing from the cycle model)", fn.Name())
-		}
-	case "math/rand", "math/rand/v2":
-		// Constructors (rand.New, rand.NewSource, rand.NewPCG, ...)
-		// take an explicit seed/source and are fine; everything else at
-		// package level draws from the shared, auto-seeded global.
-		if !strings.HasPrefix(fn.Name(), "New") {
-			pass.Reportf(sel.Pos(),
-				"%s.%s uses the global auto-seeded RNG; use a rand.New(rand.NewSource(seed)) owned by the component", fn.Pkg().Path(), fn.Name())
-		}
-	}
 }

@@ -2,30 +2,28 @@
 // enforce the simulator's cross-cutting invariants at compile time rather
 // than by convention. See DESIGN.md §8 for the policy rationale.
 //
-// Analyzers:
+// Four per-package analyzers:
 //
-//   - determinism: no wall clocks, global RNG or map-iteration-order
-//     dependence inside simulation packages (results must be bit-exact
-//     and seed-reproducible, PAPER.md §5).
+//   - determinism: no wall clocks, global RNG or map-order loops inside
+//     simulation packages (results must be bit-exact and
+//     seed-reproducible, PAPER.md §5), and no time.Sleep or global RNG
+//     draw in service packages (failure timing and chaos randomness must
+//     be injectable, Options.Now and seeded streams, so scenarios replay
+//     from a seed).
 //   - bitmask: indices into power-of-two-sized tables must be masked or
 //     reduced modulo the table size; constant mask/size mismatches are
 //     flagged (the static counterpart of internal/history's runtime
 //     width panics).
-//   - telemetrysafe: instruments from internal/telemetry are used only
-//     through their nil-safe methods and constructed only by a Registry;
-//     literal instrument names must be snake_case (the scheme
-//     cmd/telemetrycheck requires in CI).
+//   - telemetrysafe: instruments from internal/telemetry are constructed
+//     only by a Registry; literal instrument names must be snake_case
+//     (the scheme cmd/telemetrycheck requires in CI); instrument updates
+//     in service packages do not allocate.
 //   - nopanic: library code must not panic outside constructor-time
 //     config validation (New*/Must*/init); hot-path contract violations
 //     go through internal/assert or the PR-1 RunError machinery.
-//   - injectable: the service stack (service, chaos segments) must not
-//     call time.Sleep or draw from the global math/rand — failure timing
-//     and chaos randomness have to be injectable (Options.Now, seeded
-//     streams) so scenarios replay deterministically from a seed.
 //
-// On top of the per-package analyzers, three whole-program analyzers
-// run on the summary-based dataflow engine in internal/lint/dataflow
-// (DESIGN.md §13):
+// Four whole-program analyzers run on the summary-based dataflow engine
+// in internal/lint/dataflow (DESIGN.md §13):
 //
 //   - detflow: interprocedural taint from nondeterminism sources to
 //     determinism-critical sinks, with //llbplint:source / sink /
@@ -41,10 +39,14 @@
 //     replay step stay flat array arithmetic; cold miss-driven layers
 //     carry //llbplint:allow hotpath justifications.
 //
+// determinism and detflow read one table of nondeterministic stdlib
+// calls (dataflow.Std); telemetrysafe and lockorder share one
+// instrument classifier (dataflow.Instrument, dataflow.InstrumentUpdate).
+//
 // Scope is decided by import-path segments so that both the real module
 // ("llbp/internal/harness") and the analysistest fixtures ("harness")
-// classify identically. Findings that are intentional carry an in-code
-// justification:
+// classify identically. A finding that is intentional is silenced only
+// by an in-code justification:
 //
 //	//llbplint:allow determinism -- commutative reduction; order cannot leak
 package lint
@@ -59,7 +61,7 @@ import (
 // per-package analyzers first, then the whole-program dataflow
 // analyzers.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Determinism, Bitmask, TelemetrySafe, NoPanic, Injectable, Detflow, Fencecheck, Lockorder, Hotpath}
+	return []*analysis.Analyzer{Determinism, Bitmask, TelemetrySafe, NoPanic, Detflow, Fencecheck, Lockorder, Hotpath}
 }
 
 // hasSegment reports whether any "/"-separated segment of the import

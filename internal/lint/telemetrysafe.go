@@ -8,15 +8,16 @@ import (
 	"regexp"
 
 	"llbp/internal/lint/analysis"
+	"llbp/internal/lint/dataflow"
 )
 
 // TelemetrySafe enforces the observability layer's usage contract
-// (DESIGN.md §7): instruments are nil-safe only through their methods,
-// so outside the telemetry package itself they may never be touched by
-// field access or constructed by composite literal — a Registry is the
-// only factory. Literal instrument names passed to Registry.Counter/
-// Gauge/Histogram/Series must be snake_case, the scheme the CI
-// telemetrycheck gate keys on.
+// (DESIGN.md §7): instruments are nil-safe only when a Registry built
+// them, so outside the telemetry package itself they may never be
+// constructed by composite literal. (Their fields are unexported, so
+// the compiler already rejects field access.) Literal instrument names
+// passed to Registry.Counter/Gauge/Histogram/Series must be snake_case,
+// the scheme the CI telemetrycheck gate keys on.
 //
 // In service packages (import-path segment "service") one hot-path rule
 // applies on top: arguments of instrument update calls
@@ -27,26 +28,13 @@ import (
 // which proves it at call-graph depth instead of within one body.
 var TelemetrySafe = &analysis.Analyzer{
 	Name: "telemetrysafe",
-	Doc:  "telemetry instruments: methods only, Registry-constructed, snake_case names, allocation-free updates in service code",
+	Doc:  "telemetry instruments: Registry-constructed, snake_case names, allocation-free updates in service code",
 	Run:  runTelemetrySafe,
-}
-
-// instrumentTypes are the nil-safe instrument and factory types exported
-// by internal/telemetry. Snapshot/DTO types are plain data and exempt.
-var instrumentTypes = map[string]bool{
-	"Counter": true, "Gauge": true, "Histogram": true,
-	"Series": true, "Registry": true, "Tracer": true,
 }
 
 // registryFactories are the Registry methods taking an instrument name.
 var registryFactories = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true, "Series": true,
-}
-
-// instrumentUpdates are the metric-update methods the service hot-path
-// rules key on.
-var instrumentUpdates = map[string]bool{
-	"Inc": true, "Add": true, "Set": true, "Observe": true, "Append": true,
 }
 
 // allocCallPackages are stdlib packages whose calls inside an update
@@ -66,15 +54,8 @@ func runTelemetrySafe(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if sel, ok := pass.TypesInfo.Selections[n]; ok && sel.Kind() == types.FieldVal {
-					if name, ok := telemetryInstrument(sel.Recv()); ok {
-						pass.Reportf(n.Sel.Pos(),
-							"direct field access on telemetry.%s; instruments are nil-safe only through methods", name)
-					}
-				}
 			case *ast.CompositeLit:
-				if name, ok := telemetryInstrument(pass.TypesInfo.TypeOf(n)); ok {
+				if name, ok := dataflow.Instrument(pass.TypesInfo.TypeOf(n)); ok {
 					pass.Reportf(n.Pos(),
 						"composite literal of telemetry.%s; obtain instruments from a Registry (nil-safety depends on it)", name)
 				}
@@ -90,32 +71,11 @@ func runTelemetrySafe(pass *analysis.Pass) error {
 	return nil
 }
 
-// instrumentUpdate reports whether call is Inc/Add/Set/Observe/Append on
-// a telemetry instrument, returning the method name.
-func instrumentUpdate(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || !instrumentUpdates[fn.Name()] {
-		return "", false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", false
-	}
-	if _, ok := telemetryInstrument(sig.Recv().Type()); !ok {
-		return "", false
-	}
-	return fn.Name(), true
-}
-
 // checkUpdateArgs enforces the allocation-free rule: the argument
 // expressions of a metric update may compute (arithmetic, conversions,
 // method calls on local state) but not allocate or format.
 func checkUpdateArgs(pass *analysis.Pass, call *ast.CallExpr) {
-	method, ok := instrumentUpdate(pass, call)
+	_, method, ok := dataflow.InstrumentUpdate(pass.TypesInfo, call)
 	if !ok {
 		return
 	}
@@ -165,30 +125,6 @@ func isStringType(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
-// telemetryInstrument reports whether t (possibly behind pointers) is an
-// instrument type declared in a package whose path ends in "telemetry".
-func telemetryInstrument(t types.Type) (string, bool) {
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || lastSegment(obj.Pkg().Path()) != "telemetry" {
-		return "", false
-	}
-	if !instrumentTypes[obj.Name()] {
-		return "", false
-	}
-	return obj.Name(), true
-}
-
 // checkInstrumentName validates literal names passed to Registry
 // factory methods. Non-constant names (e.g. "provider_" + c.String())
 // cannot be checked statically and are skipped.
@@ -205,7 +141,7 @@ func checkInstrumentName(pass *analysis.Pass, call *ast.CallExpr) {
 	if !ok || sig.Recv() == nil {
 		return
 	}
-	if name, ok := telemetryInstrument(sig.Recv().Type()); !ok || name != "Registry" {
+	if name, ok := dataflow.Instrument(sig.Recv().Type()); !ok || name != "Registry" {
 		return
 	}
 	tv, ok := pass.TypesInfo.Types[call.Args[0]]

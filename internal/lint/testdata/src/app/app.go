@@ -4,7 +4,7 @@ package app
 
 import "telemetry"
 
-// Use exercises the method-only and snake_case rules.
+// Use exercises the snake_case rule.
 func Use(reg *telemetry.Registry) uint64 {
 	c := reg.Counter("requests_total")
 	c.Inc()
@@ -14,8 +14,7 @@ func Use(reg *telemetry.Registry) uint64 {
 
 	reg.Gauge("queue-depth") // want `instrument name "queue-depth" is not snake_case`
 
-	n := c.V // want `direct field access on telemetry\.Counter`
-	return n
+	return c.Value()
 }
 
 // Construct exercises the Registry-only construction rule.
@@ -38,8 +37,7 @@ func Dynamic(reg *telemetry.Registry, kind string) {
 }
 
 // Justified suppresses a finding with an in-code reason.
-func Justified(reg *telemetry.Registry) uint64 {
-	c := reg.Counter("requests_total")
-	//llbplint:allow telemetrysafe -- fixture demonstrates a justified direct read
-	return c.V
+func Justified() *telemetry.Counter {
+	//llbplint:allow telemetrysafe -- fixture demonstrates a justified direct construction
+	return &telemetry.Counter{}
 }

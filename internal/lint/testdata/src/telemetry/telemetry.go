@@ -1,20 +1,18 @@
 // Package telemetry is a fixture stub mirroring llbp/internal/telemetry:
 // its import path ends in "telemetry", so the telemetrysafe analyzer
-// exempts it (the implementation must touch its own fields). The
-// instrument fields are exported here, unlike the real package, so that
-// the app fixture can demonstrate the field-access diagnostic in code
-// that still compiles.
+// exempts it (the implementation builds its own instruments). Like the
+// real package's, the instrument fields are unexported.
 package telemetry
 
-// Counter is a fixture instrument with a deliberately exported field.
-type Counter struct{ V uint64 }
+// Counter is a fixture instrument.
+type Counter struct{ v uint64 }
 
-// Inc touches the field directly — fine inside the telemetry package.
+// Inc increments the count.
 func (c *Counter) Inc() {
 	if c == nil {
 		return
 	}
-	c.V++
+	c.v++
 }
 
 // Add accumulates a delta.
@@ -22,26 +20,26 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.V += n
+	c.v += n
 }
 
-// Value reads the field — fine here.
+// Value reads the count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.V
+	return c.v
 }
 
 // Gauge is a fixture instrument.
-type Gauge struct{ Bits uint64 }
+type Gauge struct{ bits uint64 }
 
 // Set stores a level.
 func (g *Gauge) Set(v uint64) {
 	if g == nil {
 		return
 	}
-	g.Bits = v
+	g.bits = v
 }
 
 // Registry is the fixture instrument factory.

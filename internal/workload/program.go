@@ -65,6 +65,17 @@ const (
 	// stride. Lower functions sit below 2^31 + codeBase and would need
 	// bodies of 2^29 sites to reach 2^32.
 	maxFunctions = (1<<32 - codeBase) / fnStride
+
+	// maxLoopInner is the most sites a loop body holds, so a loop site
+	// takes up to loopSitePCs PCs: the loop branch and its body.
+	maxLoopInner = 4
+	loopSitePCs  = 1 + maxLoopInner
+
+	// maxBodyPCs is the most site PCs a function body may take: sites
+	// are laid out one instrWidth apart from the function's base, and the
+	// return PC after the last one must stay inside the function's own
+	// stride, or it lands on the next function's first site.
+	maxBodyPCs = fnStride/instrWidth - 1
 )
 
 // buildProgram deterministically constructs the static program for p,
@@ -147,7 +158,7 @@ func buildFunction(p Params, r *rng, id int) *function {
 			s := site{kind: siteLoop, pc: nextPC(), seed: r.next()}
 			s.tripBase = r.rangeInt(p.LoopTripMin, p.LoopTripMax)
 			s.ctxTrip = p.ContextLoops && r.bernoulli(0.5)
-			nInner := r.rangeInt(1, 4)
+			nInner := r.rangeInt(1, maxLoopInner)
 			for j := 0; j < nInner; j++ {
 				if r.bernoulli(0.12) {
 					s.inner = append(s.inner, buildCallSite(p, r, nextPC(), id))

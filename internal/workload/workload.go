@@ -158,6 +158,15 @@ func (p Params) Validate() error {
 	if p.CallMax < p.CallMin || p.CallMin < 0 {
 		return fmt.Errorf("workload %s: bad call range [%d,%d]", p.Name, p.CallMin, p.CallMax)
 	}
+	if p.LoopMax < p.LoopMin || p.LoopMin < 0 {
+		return fmt.Errorf("workload %s: bad loop range [%d,%d]", p.Name, p.LoopMin, p.LoopMax)
+	}
+	// Checking each term first keeps the sum from overflowing.
+	if p.CondMax > maxBodyPCs || p.CallMax > maxBodyPCs || p.LoopMax > maxBodyPCs ||
+		p.CondMax+p.CallMax+loopSitePCs*p.LoopMax > maxBodyPCs {
+		return fmt.Errorf("workload %s: condMax %d + callMax %d + %d·loopMax %d site PCs overflow a function's %d-byte stride (at most %d fit)",
+			p.Name, p.CondMax, p.CallMax, loopSitePCs, p.LoopMax, fnStride, maxBodyPCs)
+	}
 	if p.MaxDepth < 1 {
 		return fmt.Errorf("workload %s: maxDepth must be >= 1", p.Name)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -285,6 +286,8 @@ func TestValidation(t *testing.T) {
 		func(p *Params) { p.RequestTypes = p.Functions + 1 },
 		func(p *Params) { p.CondMin, p.CondMax = 5, 4 },
 		func(p *Params) { p.CallMin, p.CallMax = 3, 1 },
+		func(p *Params) { p.LoopMin, p.LoopMax = 2, 1 },
+		func(p *Params) { p.LoopMin = -1 },
 		func(p *Params) { p.MaxDepth = 0 },
 		func(p *Params) { p.FracLocal = 0.9; p.FracMarker = 0.9 },
 		func(p *Params) { p.ContextPhaseMin = 0 },
@@ -321,6 +324,86 @@ func TestValidationAddressBound(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
 		}
+	}
+}
+
+// TestValidationBodyBound: Validate admits function bodies whose site
+// PCs and return PC fit the function stride, CondMax + CallMax +
+// 5·LoopMax <= 1023, and rejects one PC more. At the bound every site
+// and return PC of the program is distinct; the catalog stays valid.
+func TestValidationBodyBound(t *testing.T) {
+	for _, src := range Catalog() {
+		if err := src.Params().Validate(); err != nil {
+			t.Errorf("catalog workload rejected: %v", err)
+		}
+	}
+
+	p := Catalog()[0].Params()
+	p.Functions, p.RequestTypes = 40, 8
+	p.CallMin, p.CallMax, p.LoopMin, p.LoopMax = 0, 0, 0, 0
+	// sitePCs counts the program's site and return PCs, and the distinct
+	// ones among them. buildProgram does not validate, so it also shows
+	// what one site more does.
+	sitePCs := func(p Params) (pcs, distinct int) {
+		seen := map[uint64]bool{}
+		for _, fn := range buildProgram(p).fns {
+			for _, s := range fn.sites {
+				pcs++
+				seen[s.pc] = true
+			}
+			pcs++
+			seen[fn.retPC] = true
+		}
+		return pcs, len(seen)
+	}
+	p.CondMin, p.CondMax = 1023, 1023
+	if err := p.Validate(); err != nil {
+		t.Fatalf("1023 conditional sites rejected: %v", err)
+	}
+	if pcs, distinct := sitePCs(p); distinct != pcs {
+		t.Errorf("1023 conditional sites: %d site and return PCs, %d distinct", pcs, distinct)
+	}
+	p.CondMin, p.CondMax = 1024, 1024
+	if pcs, distinct := sitePCs(p); distinct == pcs {
+		t.Errorf("1024 conditional sites: all %d site and return PCs distinct; the bound is not tight", pcs)
+	}
+
+	for _, tc := range []struct {
+		cond, call, loop int
+		ok               bool
+	}{
+		{1024, 0, 0, false},
+		{0, 1024, 0, false},
+		{1013, 0, 2, true},
+		{1014, 0, 2, false},
+		{0, 0, 204, true},
+		{3, 0, 204, true},
+		{4, 0, 204, false},
+		{math.MaxInt, math.MaxInt, 0, false},
+	} {
+		p.CondMax, p.CallMax, p.LoopMax = tc.cond, tc.call, tc.loop
+		p.CondMin, p.CallMin, p.LoopMin = 0, 0, 0
+		err := p.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("cond %d call %d loop %d: err %v, want ok=%v", tc.cond, tc.call, tc.loop, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "1023") {
+			t.Errorf("error %q does not name the 1023-PC bound", err)
+		}
+	}
+
+	// Tomcat's mix at 40 functions with 1,100 conditional sites each:
+	// unchecked, the bodies overran their strides and 22,089 sites
+	// shared 20,507 PCs.
+	tomcat, err := ByName("Tomcat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = tomcat.Params()
+	p.Functions, p.RequestTypes = 40, 8
+	p.CondMin, p.CondMax = 1100, 1100
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "stride") {
+		t.Errorf("1,100 conditional sites per function: err %v, want the stride bound", err)
 	}
 }
 

@@ -132,7 +132,7 @@ type Result struct {
 	// relative to the same predictor's batch replay ("tage-sc-l"),
 	// 100 * (stream - batch) / batch. Negative is the serving layer's
 	// overhead — frame validation, epoch fencing, outcome encoding and
-	// checkpoint forks.
+	// checkpoint frames.
 	VsBatchPct float64 `json:"vs_batch_pct,omitempty"`
 }
 
@@ -368,7 +368,7 @@ func measure(wlName string, branches, warmup uint64, cpuprofile string, progress
 // measureSession appends the session_branches_per_sec family: the same
 // trace applied through the session subsystem — frame validation,
 // epoch-fenced batch application, outcome-byte encoding, auto-checkpoint
-// forks on the default cadence — instead of batch sim.Run. Journaling is
+// frames on the default cadence — instead of batch sim.Run. Journaling is
 // off, matching the batch families (neither path fsyncs per branch). The
 // frames reach Claim.Apply already decoded, so the family never parses
 // NDJSON: the delta is the serving layer without its wire decode, which

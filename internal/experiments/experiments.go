@@ -86,13 +86,6 @@ type Config struct {
 	// useful for memory-constrained hosts and A/B measurement).
 	TraceCache        *cache.Cache
 	DisableTraceCache bool
-
-	// DisableForkWarm turns off the warm-snapshot fork cache, so every
-	// cell replays its own warmup even when cells share a (workload,
-	// predictor, warmup) prefix. Results are byte-identical either way
-	// (the fork property tests pin this down); the switch exists for A/B
-	// wall-clock measurement and as an escape hatch.
-	DisableForkWarm bool
 }
 
 // DefaultConfig returns the standard laptop-scale budgets.
@@ -372,7 +365,7 @@ func (h *Harness) source(wl *workload.Source, n uint64) (trace.Source, func()) {
 // path instead (forkwarm.go); fault-injected cells never do — the
 // injector must see the warmup phase, which a fork skips.
 func (h *Harness) simulate(ctx context.Context, wl *workload.Source, spec PredictorSpec, warm, meas uint64, fs *FaultSpec) (*RunOutput, error) {
-	if fs == nil && warm > 0 && meas > 0 && !h.Cfg.DisableForkWarm {
+	if fs == nil && warm > 0 && meas > 0 {
 		if out, ok, err := h.simulateForked(ctx, wl, spec, warm, meas); ok {
 			return out, err
 		}

@@ -175,10 +175,8 @@ func (h *Harness) ForkWarm(ctx context.Context, workloadName, specKey string, wa
 	if err != nil {
 		return nil, nil, err
 	}
-	if !h.Cfg.DisableForkWarm {
-		if ws := h.warmFor(ctx, wl, spec, warmup); ws != nil {
-			return ws.Fork(clock), clock, nil
-		}
+	if ws := h.warmFor(ctx, wl, spec, warmup); ws != nil {
+		return ws.Fork(clock), clock, nil
 	}
 	// Monolithic fallback: warm a private instance.
 	p, err := spec.Build(clock)

@@ -31,7 +31,9 @@ type Claim struct {
 // Claim takes ownership of a session for a push connection. A live,
 // unexpired claim by another owner is a conflict; an expired or drained
 // lease is taken over, ending the previous claim and closing its revoke
-// channel — the drain-migration handshake.
+// channel. Either way the new claim drives the session's live predictor
+// from the cursor the previous claim left: a drain is an expiry that
+// does not wait for the deadline.
 func (m *Manager) Claim(ctx context.Context, id, owner string) (*Claim, error) {
 	s, err := m.lookup(ctx, id)
 	if err != nil {
@@ -48,19 +50,12 @@ func (m *Manager) Claim(ctx context.Context, id, owner string) (*Claim, error) {
 	if draining {
 		// A drained claim hands over before its deadline.
 		s.lease.Revoke()
+		s.state = StateOpen
 	}
 	epoch, hold, ok := s.lease.Claim(context.Background(), owner, now, m.opt.LeaseTTL)
 	if !ok {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("session: %s is claimed by %s (lease live)", id, prev)
-	}
-	if draining {
-		// The new claim resumes from the last checkpoint's fork, not the
-		// drained claim's live instance — migration rides the same
-		// copy-on-write machinery as checkpointing, and determinism makes
-		// the continuation byte-identical either way.
-		s.migrateLocked()
-		s.state = StateOpen
 	}
 	c := &Claim{m: m, s: s, owner: owner, epoch: epoch, Revoke: hold.Done()}
 	s.mu.Unlock()
@@ -150,7 +145,6 @@ func (c *Claim) Apply(f Frame) (OutFrame, error) {
 	}
 	s.lease.Renew(c.epoch, c.m.opt.Now(), c.m.opt.LeaseTTL)
 	of := s.log.Append(s.applyLocked(f))
-	s.tail = append(s.tail, f)
 	var ckptFrame *OutFrame
 	if s.branches >= s.nextCkpt {
 		ck := s.takeCheckpointLocked()
@@ -196,11 +190,12 @@ func (c *Claim) Checkpoint() (OutFrame, error) {
 	return of, nil
 }
 
-// Drain hands the session off: a checkpoint is taken (the migration
-// snapshot — journaled, so a restart replays the same checkpoint frame
-// at the same position), the session is marked draining so the next
-// Claim takes over immediately, and this claim is done. The draining
-// claim keeps its lease until the successor fences it.
+// Drain hands the session off: a checkpoint is journaled (so a restart
+// replays the same checkpoint frame at the same position), the session
+// is marked draining so the next Claim takes over immediately, and this
+// claim is done. The draining claim keeps its lease until the successor
+// fences it; the successor drives the same predictor from the drained
+// cursor.
 func (c *Claim) Drain() (OutFrame, error) {
 	of, err := c.Checkpoint()
 	if err != nil {

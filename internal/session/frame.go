@@ -27,8 +27,10 @@
 // byte-identical to an uninterrupted one. Ownership is lease-epoch
 // fenced exactly like the job service: each push connection claims the
 // session and bumps its epoch, and a superseded connection can never
-// apply a batch or emit a frame again — drain/reconnect migration
-// continues with zero duplicated or skipped sequence numbers.
+// apply a batch or emit a frame again. A drain or an expired lease hands
+// the live predictor to the next claim, which continues from the cursor
+// with zero duplicated or skipped sequence numbers; a checkpoint frame
+// acknowledges that cursor and copies no predictor state.
 package session
 
 import (

@@ -144,9 +144,9 @@ func recordCombos(t testing.TB) []BranchRec {
 
 // TestFrameReaderOwnsBranches pins that the fast path accepts every
 // client frame encoding/json writes, and that each frame owns its
-// Branches: a Session keeps applied frames in its tail for drain
-// migration, so reading the next frame must not overwrite the previous
-// one's records.
+// Branches, as a frame json.Unmarshal decodes does: a caller may keep a
+// frame, so reading the next frame must not overwrite the previous one's
+// records.
 func TestFrameReaderOwnsBranches(t *testing.T) {
 	first := Frame{Type: FrameBranchBatch, Seq: 1, Branches: []BranchRec{
 		{PC: 0x400000, Target: 0x400100, Kind: 1, Taken: true, Instructions: 3},

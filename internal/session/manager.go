@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -282,19 +283,13 @@ func (m *Manager) Open(ctx context.Context, req Request) (Status, error) {
 	// Build eagerly so an unbuildable request fails the open, not the
 	// first batch.
 	if err := m.build(ctx, s); err != nil {
-		m.mu.Lock()
-		delete(m.sessions, id)
-		for i, sid := range m.order {
-			if sid == id {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
-		m.mu.Unlock()
+		m.forget(id)
 		return Status{}, err
 	}
 	if m.journal != nil {
 		if err := m.journal.Record(journalKeyOpen(id), openRecord{Req: s.req, Tid: tid}); err != nil {
+			// Restore never rebuilds a session without its open record.
+			m.forget(id)
 			return Status{}, fmt.Errorf("session: journaling open: %w", err)
 		}
 	}
@@ -306,6 +301,17 @@ func (m *Manager) Open(ctx context.Context, req Request) (Status, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snapshotLocked(), nil
+}
+
+// forget drops a session whose open failed, so it neither lists nor
+// counts against MaxSessions.
+func (m *Manager) forget(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.sessions, id)
+	if i := slices.Index(m.order, id); i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
+	}
 }
 
 func journalKeyOpen(sid string) string { return "sess|" + sid + "|open" }
@@ -368,7 +374,6 @@ func (m *Manager) applyEntryLocked(s *Session, e journalEntry) {
 		}
 		f := Frame{Type: FrameBranchBatch, Seq: e.Seq, Branches: e.Branches}
 		s.log.Append(s.applyLocked(f))
-		s.tail = append(s.tail, f)
 		if s.branches >= s.nextCkpt {
 			s.takeCheckpointLocked()
 		}

@@ -73,20 +73,6 @@ type Status struct {
 	Checkpoints uint64 `json:"checkpoints"`
 }
 
-// checkpoint is one captured session snapshot: a copy-on-write fork of
-// the live predictor at a batch boundary plus the cursors that locate it
-// in the stream. Drain migration restarts the session from here — the
-// new claim gets the forked twin, replays the in-memory batch tail, and
-// continues as if it had driven the stream all along.
-type checkpoint struct {
-	pred     predictor.Predictor
-	clock    *predictor.Clock
-	lastSeq  uint64
-	branches uint64
-	cond     uint64
-	misp     uint64
-}
-
 // Session is the in-memory runtime of one streaming prediction session.
 //
 // Ownership is lease-based, as for jobs: each push connection claims
@@ -129,11 +115,6 @@ type Session struct {
 	ckptEvery   uint64
 	nextCkpt    uint64
 	checkpoints uint64
-	ckpt        *checkpoint
-	// tail holds the batches applied since the last checkpoint, the
-	// replay input for checkpoint-based drain migration. Bounded by the
-	// checkpoint cadence: taking a checkpoint clears it.
-	tail []Frame
 
 	// log is the output log: persisted predictions, checkpoint and done
 	// frames, with the telemetry snapshot as its ephemeral latest entry.
@@ -182,24 +163,12 @@ func (s *Session) applyLocked(f Frame) OutFrame {
 	}
 }
 
-// takeCheckpointLocked captures a checkpoint: a copy-on-write fork of
-// the live predictor plus the stream cursors, and the persisted
-// checkpoint frame. Non-forkable predictors checkpoint cursors only
-// (migration then continues with the live instance — same trajectory,
-// no fork exercise). Callers hold mu.
+// takeCheckpointLocked acknowledges the stream cursor: it appends the
+// persisted checkpoint frame and re-arms the auto-checkpoint cadence.
+// The predictor is not copied — the journal's inputs rebuild it on
+// restart, and a drain's successor drives the live instance. Callers
+// hold mu.
 func (s *Session) takeCheckpointLocked() OutFrame {
-	ck := &checkpoint{
-		lastSeq:  s.lastSeq,
-		branches: s.branches,
-		cond:     s.cond,
-		misp:     s.mispredicts,
-	}
-	if f, ok := s.pred.(predictor.Forkable); ok {
-		ck.clock = &predictor.Clock{}
-		ck.pred = f.Fork(ck.clock)
-	}
-	s.ckpt = ck
-	s.tail = s.tail[:0]
 	s.checkpoints++
 	s.nextCkpt = s.branches + s.ckptEvery
 	return s.log.Append(OutFrame{
@@ -207,33 +176,6 @@ func (s *Session) takeCheckpointLocked() OutFrame {
 		Batch:    s.lastSeq,
 		Branches: s.branches,
 	})
-}
-
-// migrateLocked swaps the live predictor for the last checkpoint's fork
-// and replays the in-memory batch tail through it — the drain-migration
-// path: the revoked claim's predictor instance is abandoned and the new
-// claim drives a fresh fork with an identical trajectory. No checkpoint
-// (or a non-forkable predictor) means the live instance carries over
-// unchanged. Callers hold mu.
-func (s *Session) migrateLocked() {
-	ck := s.ckpt
-	if ck == nil || ck.pred == nil {
-		return
-	}
-	tail := s.tail
-	s.pred, s.step = ck.pred, sim.NewStepper(ck.pred, ck.clock)
-	s.lastSeq, s.branches = ck.lastSeq, ck.branches
-	s.cond, s.mispredicts = ck.cond, ck.misp
-	s.tail = nil
-	// Silent replay: these batches' predictions frames are already in the
-	// output log; the fork only needs to catch up to the live cursor.
-	for _, f := range tail {
-		s.applyLocked(f)
-	}
-	s.tail = tail[:0]
-	// The consumed fork can no longer serve a second migration; the next
-	// checkpoint re-arms it.
-	s.ckpt = nil
 }
 
 // snapshotLocked builds the Status. Callers hold mu.

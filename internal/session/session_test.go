@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"llbp/internal/chaos"
 	"llbp/internal/experiments"
 	"llbp/internal/predictor"
 	"llbp/internal/sim"
@@ -270,9 +272,9 @@ func TestSessionResumeByteIdentical(t *testing.T) {
 	m2.Shutdown()
 }
 
-// TestDrainMigration: a drain hands the session to a new claim via the
-// checkpoint fork; the migrated continuation is byte-identical to an
-// undrained one and no sequence number is duplicated or skipped.
+// TestDrainMigration: a drain hands the session to a new claim; the
+// migrated continuation is byte-identical to an undrained one and no
+// sequence number is duplicated or skipped.
 func TestDrainMigration(t *testing.T) {
 	batches := testStream(t, 2_000, 10, 200)
 	ctx := context.Background()
@@ -362,6 +364,87 @@ func TestDrainMigration(t *testing.T) {
 	}
 	if st2, _ := m.Get(ctx, st.ID); st2.Epoch != 2 {
 		t.Fatalf("epoch after migration: %d, want 2", st2.Epoch)
+	}
+}
+
+// TestDrainKeepsLivePredictor: the claim that follows a drain drives the
+// predictor and stepper the drained claim drove. A drain copies nothing;
+// it is an expiry that does not wait for the deadline.
+func TestDrainKeepsLivePredictor(t *testing.T) {
+	m := testManager(t, "")
+	st := openTestSession(t, m)
+	ctx := context.Background()
+	batches := testStream(t, 2_000, 4, 200)
+	m.mu.Lock()
+	s := m.sessions[st.ID]
+	m.mu.Unlock()
+	live := func() (predictor.Predictor, *sim.Stepper) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.pred, s.step
+	}
+
+	c1, err := m.Claim(ctx, st.ID, "w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range batches[:2] {
+		if _, err := c1.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pred, step := live()
+	if _, err := c1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := m.Claim(ctx, st.ID, "w2")
+	if err != nil {
+		t.Fatalf("claim after drain: %v", err)
+	}
+	for _, f := range batches[2:] {
+		if _, err := c2.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, sp := live(); p != pred || sp != step {
+		t.Fatal("the claim after a drain drives a different predictor or stepper than the drained claim")
+	}
+}
+
+// TestFailedOpenLeavesNoSession: an open whose journal record fails
+// leaves nothing behind — the session neither lists nor counts against
+// MaxSessions, since a restart would never rebuild it.
+func TestFailedOpenLeavesNoSession(t *testing.T) {
+	wl, err := workload.ByName("Tomcat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Options{
+		Forker: experiments.NewHarness(experiments.Config{
+			Warmup: 5_000, Measure: 10_000, Workloads: []*workload.Source{wl},
+		}),
+		JournalPath: filepath.Join(t.TempDir(), "sessions.journal"),
+		MaxSessions: 1,
+		Chaos:       chaos.New(chaos.Rule{Hook: chaos.JournalTear, At: 1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	ctx := context.Background()
+	req := Request{Schema: Schema, Predictor: "64k"}
+	if _, err := m.Open(ctx, req); err == nil || !strings.Contains(err.Error(), "journaling open") {
+		t.Fatalf("open over a torn journal write: %v, want a journaling error", err)
+	}
+	if got := m.List(); len(got) != 0 {
+		t.Fatalf("failed open left sessions behind: %+v", got)
+	}
+	st, err := m.Open(ctx, req)
+	if err != nil {
+		t.Fatalf("open after a failed open: %v", err)
+	}
+	if got := m.List(); len(got) != 1 || got[0].ID != st.ID {
+		t.Fatalf("sessions after one failed and one good open: %+v, want only %s", got, st.ID)
 	}
 }
 

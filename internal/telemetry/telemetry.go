@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -501,15 +500,4 @@ func ReadMetricsFile(data []byte) (*MetricsFile, error) {
 		return nil, fmt.Errorf("telemetry: metrics schema %q, want %q", mf.Schema, MetricsSchema)
 	}
 	return &mf, nil
-}
-
-// SortedCounterNames returns the snapshot's counter names in order, for
-// deterministic rendering.
-func (s *Snapshot) SortedCounterNames() []string {
-	out := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -53,6 +53,27 @@ func writeTrace(t *testing.T, path string, branches uint64) {
 	}
 }
 
+// tomcatSites counts the distinct (PC, target, type) sites in Tomcat's
+// first n branches.
+func tomcatSites(t *testing.T, n uint64) int {
+	t.Helper()
+	src, err := workload.ByName("Tomcat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type site struct {
+		pc, target uint64
+		typ        trace.BranchType
+	}
+	seen := map[site]bool{}
+	r := &trace.LimitReader{R: src.Open(), Max: n}
+	var b trace.Branch
+	for r.Read(&b) == nil {
+		seen[site{b.PC, b.Target, b.Type}] = true
+	}
+	return len(seen)
+}
+
 // TestInfoSummarizesFileAndWorkload: both input modes produce the text
 // report, and -metrics writes a valid llbp-metrics/1 document.
 func TestInfoSummarizesFileAndWorkload(t *testing.T) {
@@ -88,15 +109,17 @@ func TestInfoSummarizesFileAndWorkload(t *testing.T) {
 		t.Fatalf("metrics document: %+v, %v", mf, err)
 	}
 	// Workload mode replays through the materialized-trace cache and
-	// appends its statistics as a final snapshot. The cache stores 10
-	// bytes per branch (the trace/cache package doc).
+	// appends its statistics as a final snapshot. The cache stores a
+	// 4-byte record per branch plus a 24-byte entry per distinct (PC,
+	// target, type) site (the trace/cache package doc).
 	cc := mf.Runs[1]
 	if cc.Workload != "trace-cache" {
 		t.Fatalf("last run = %q, want trace-cache", cc.Workload)
 	}
+	want := 5_000*4 + 24*tomcatSites(t, 5_000)
 	if cc.Metrics.Counters["trace_cache_misses"] != 1 ||
-		cc.Metrics.Gauges["trace_cache_bytes_resident"] != 5_000*10 {
-		t.Errorf("cache metrics: %+v", cc.Metrics)
+		cc.Metrics.Gauges["trace_cache_bytes_resident"] != float64(want) {
+		t.Errorf("cache metrics: %+v, want %d bytes resident", cc.Metrics, want)
 	}
 
 	// With caching disabled the summary and metrics lose the cache

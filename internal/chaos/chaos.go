@@ -53,8 +53,7 @@ const (
 	// delivered sequence number.
 	StreamDrop Hook = "stream.drop"
 	// JournalTear fires inside Journal.Record: the encoded line is
-	// truncated mid-write and the write reported failed — the exact
-	// footprint of a process killed between write and fsync.
+	// truncated mid-write and the write reported failed.
 	JournalTear Hook = "journal.tear"
 )
 
@@ -181,9 +180,8 @@ func ParseSpec(spec string) ([]Rule, error) {
 
 // TearHook adapts the injector to harness.Journal.SetWriteHook: when
 // JournalTear fires, the journal line is truncated mid-record and the
-// write reported failed — the footprint of a process killed between
-// write and fsync, which the journal's torn-tail repair must absorb on
-// the next open.
+// write reported failed. The journal must cut the partial line back off
+// before its next record, as it does for any failed write.
 func TearHook(in *Injector) func(line []byte) ([]byte, error) {
 	return func(line []byte) ([]byte, error) {
 		if in.Fire(JournalTear) {

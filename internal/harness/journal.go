@@ -19,6 +19,7 @@ type Journal struct {
 	mu        sync.Mutex
 	f         *os.File
 	w         *bufio.Writer
+	size      int64 // length of the file's whole lines: where the next line starts
 	done      map[string]json.RawMessage
 	path      string
 	writeHook func(line []byte) ([]byte, error)
@@ -75,12 +76,14 @@ func OpenJournal(path string) (*Journal, error) {
 			return nil, fmt.Errorf("harness: repairing journal %s: %w", path, err)
 		}
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("harness: opening journal %s: %w", path, err)
 	}
 	j.f = f
 	j.w = bufio.NewWriter(f)
+	j.size = size
 	return j, nil
 }
 
@@ -121,10 +124,10 @@ func (j *Journal) Each(fn func(key string, value json.RawMessage)) {
 // SetWriteHook installs fn as the journal's write interceptor: every
 // encoded record line (trailing newline included) passes through fn
 // before hitting the file, and fn's error is surfaced by Record after
-// whatever bytes fn returned have landed. It exists for the chaos
-// harness, whose journal-tear event returns a truncated line plus an
-// error — exactly the on-disk footprint of a process killed between
-// write and fsync. A nil fn removes the hook.
+// whatever bytes fn returned have landed and been cut back off, as any
+// failed write is. It exists for the chaos harness, whose journal-tear
+// event returns a truncated line plus an error: a write torn mid-line.
+// A nil fn removes the hook.
 func (j *Journal) SetWriteHook(fn func(line []byte) ([]byte, error)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -136,7 +139,10 @@ func (j *Journal) SetWriteHook(fn func(line []byte) ([]byte, error)) {
 // crash — after Record never loses the cell. Record is idempotent: a key
 // already journaled with byte-identical value is skipped, so a resumed
 // run that re-records cells it could not prove durable (crash between
-// write and fsync) does not accumulate duplicate lines.
+// write and fsync) does not accumulate duplicate lines. A write that
+// fails or tears is cut back off the file before Record returns its
+// error, so the next record starts on a fresh line rather than fusing
+// with the partial one into a line loading would skip.
 //
 //llbplint:sink -- journal bytes are replayed for exactly-once resume; they must be identical across runs
 func (j *Journal) Record(key string, value any) error {
@@ -157,26 +163,51 @@ func (j *Journal) Record(key string, value any) error {
 		return nil // duplicate re-append after resume: already durable
 	}
 	buf := append(line, '\n')
-	var hookErr error
 	if j.writeHook != nil {
-		buf, hookErr = j.writeHook(buf)
+		buf, err = j.writeHook(buf)
 	}
-	if _, err := j.w.Write(buf); err != nil {
+	if werr := j.writeLine(buf); err == nil {
+		err = werr
+	}
+	if err != nil {
+		if rerr := j.rewind(); rerr != nil {
+			// The partial line stays; a later record would fuse onto
+			// it, so the journal accepts no more.
+			j.f.Close()
+			j.f = nil
+			err = fmt.Errorf("%w; cutting the partial line failed, journal closed: %v", err, rerr)
+		}
 		return fmt.Errorf("harness: journaling %q: %w", key, err)
 	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("harness: journaling %q: %w", key, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("harness: syncing journal %q: %w", key, err)
-	}
-	if hookErr != nil {
-		// The injected tear: the (possibly partial) bytes are on disk but
-		// the record is not considered durable.
-		return fmt.Errorf("harness: journaling %q: %w", key, hookErr)
-	}
+	j.size += int64(len(buf))
 	j.done[key] = raw
 	return nil
+}
+
+// writeLine writes, flushes and fsyncs buf. Caller holds j.mu.
+func (j *Journal) writeLine(buf []byte) error {
+	if _, err := j.w.Write(buf); err != nil {
+		return err
+	}
+	if err := j.w.Flush(); err != nil {
+		return err
+	}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("syncing: %w", err)
+	}
+	return nil
+}
+
+// rewind cuts the file back to its whole lines and discards whatever
+// the buffered writer still holds, clearing the error a failed flush
+// leaves sticky in it. Caller holds j.mu.
+func (j *Journal) rewind() error {
+	j.w.Reset(j.f)
+	if err := j.f.Truncate(j.size); err != nil {
+		return err
+	}
+	_, err := j.f.Seek(j.size, io.SeekStart)
+	return err
 }
 
 // Close flushes and closes the journal file. The in-memory index stays

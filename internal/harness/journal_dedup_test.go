@@ -98,8 +98,9 @@ func TestJournalDuplicateLinesOnDisk(t *testing.T) {
 
 // TestJournalWriteHookTear: the chaos write hook can tear a record
 // mid-line; Record surfaces the injected error, the key is not treated
-// as durable, and reopening repairs the torn tail so the journal stays
-// usable — then a clean re-record succeeds.
+// as durable, and the torn bytes do not swallow the next record. The
+// reopened journal holds both intact records, and a clean re-record of
+// the torn key succeeds.
 func TestJournalWriteHookTear(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.journal")
 	j, err := OpenJournal(path)
@@ -119,17 +120,23 @@ func TestJournalWriteHookTear(t *testing.T) {
 	if _, ok := j.Lookup("cell-b"); ok {
 		t.Error("torn record is visible in the index")
 	}
+	// Record cut the torn bytes back off the file, so the next record
+	// lands on a line of its own instead of fusing with them.
+	j.SetWriteHook(nil)
+	if err := j.Record("cell-c", val{3}); err != nil {
+		t.Fatalf("record after a tear: %v", err)
+	}
 	j.Close()
 
-	// Restart path: the partial tail is truncated away, cell-a survives,
-	// and cell-b records cleanly.
+	// Restart path: cell-a and cell-c survive, and cell-b records
+	// cleanly.
 	j2, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.Len() != 1 {
-		t.Fatalf("reopened journal has %d keys, want 1 (cell-a)", j2.Len())
+	if j2.Len() != 2 {
+		t.Fatalf("reopened journal has %d keys, want 2 (cell-a, cell-c)", j2.Len())
 	}
 	if err := j2.Record("cell-b", val{2}); err != nil {
 		t.Fatal(err)
@@ -137,7 +144,7 @@ func TestJournalWriteHookTear(t *testing.T) {
 	if _, ok := j2.Lookup("cell-b"); !ok {
 		t.Error("cell-b missing after clean re-record")
 	}
-	if got := countLines(t, path); got != 2 {
-		t.Errorf("repaired journal has %d lines, want 2", got)
+	if got := countLines(t, path); got != 3 {
+		t.Errorf("repaired journal has %d lines, want 3", got)
 	}
 }

@@ -155,9 +155,13 @@ func (f OutFrame) WithSeq(seq uint64) OutFrame {
 	return f
 }
 
-// EncodeOutcomes packs per-branch verdict bytes for the wire.
+// EncodeOutcomes packs per-branch verdict bytes for the wire. It
+// encodes into a stack buffer that holds one frame's verdicts, at most
+// MaxBatchBranches, so for a frame the returned string is the only
+// allocation.
 func EncodeOutcomes(raw []byte) string {
-	return base64.StdEncoding.EncodeToString(raw)
+	var buf [(MaxBatchBranches + 2) / 3 * 4]byte
+	return string(base64.StdEncoding.AppendEncode(buf[:0], raw))
 }
 
 // DecodeOutcomes unpacks a predictions frame's verdict bytes.

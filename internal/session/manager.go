@@ -222,7 +222,11 @@ func (m *Manager) restore() error {
 		sort.Slice(evs, func(i, k int) bool { return evs[i].n < evs[k].n })
 		s := m.newSession(sid, or.Req, or.Tid)
 		s.built = false
-		s.jn = uint64(len(evs))
+		if len(evs) > 0 {
+			// Past the highest entry, not the count: a failed write
+			// leaves a gap, and reusing a live key would replace it.
+			s.jn = evs[len(evs)-1].n + 1
+		}
 		s.replay = make([]json.RawMessage, len(evs))
 		for i, e := range evs {
 			s.replay[i] = e.raw
@@ -437,7 +441,9 @@ func (m *Manager) lookup(ctx context.Context, id string) (*Session, error) {
 
 // Close terminates a session: the done frame is persisted, the lease
 // revoked, and further pushes rejected. Closing a closed session is a
-// no-op.
+// no-op. The close is journaled first, under the session lock as Apply
+// journals a batch: a failed write leaves the session open in memory,
+// as a restart would find it.
 func (m *Manager) Close(ctx context.Context, id string) (Status, error) {
 	s, err := m.lookup(ctx, id)
 	if err != nil {
@@ -449,21 +455,21 @@ func (m *Manager) Close(ctx context.Context, id string) (Status, error) {
 		s.mu.Unlock()
 		return st, nil
 	}
+	if m.journal != nil {
+		if err := m.journal.Record(journalKeyEv(id, s.jn), journalEntry{Kind: "close"}); err != nil {
+			s.mu.Unlock()
+			return Status{}, fmt.Errorf("session: journaling close: %w", err)
+		}
+	}
+	s.jn++
 	s.lease.Revoke()
 	s.state = StateClosed
 	s.log.Finish(OutFrame{Type: FrameDone, Branches: s.branches,
 		Mispredicts: s.mispredicts, State: StateClosed})
-	jn := s.jn
-	s.jn++
 	st := s.snapshotLocked()
 	tenant := s.req.Tenant
 	s.mu.Unlock()
 
-	if m.journal != nil {
-		if err := m.journal.Record(journalKeyEv(id, jn), journalEntry{Kind: "close"}); err != nil {
-			return Status{}, fmt.Errorf("session: journaling close: %w", err)
-		}
-	}
 	if g := m.tel.open; g != nil && g.Value() > 0 {
 		g.Set(g.Value() - 1)
 	}

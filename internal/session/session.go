@@ -129,9 +129,12 @@ type Session struct {
 // Each branch takes sim.Stepper's step, the one batch replay takes, so
 // latency-aware predictors (LLBP's prefetch pipeline) see the same time
 // base streamed as replayed. Each conditional branch yields one verdict
-// byte. Callers hold mu and have already checked sequence continuity.
+// byte, gathered on the stack: a validated frame holds at most
+// MaxBatchBranches branches. Callers hold mu and have already checked
+// sequence continuity.
 func (s *Session) applyLocked(f Frame) OutFrame {
-	raw := make([]byte, 0, len(f.Branches))
+	var verdicts [MaxBatchBranches]byte
+	raw := verdicts[:0]
 	var misp uint64
 	for i := range f.Branches {
 		b := f.Branches[i].Branch()

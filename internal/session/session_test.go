@@ -411,26 +411,39 @@ func TestDrainKeepsLivePredictor(t *testing.T) {
 	}
 }
 
-// TestFailedOpenLeavesNoSession: an open whose journal record fails
-// leaves nothing behind — the session neither lists nor counts against
-// MaxSessions, since a restart would never rebuild it.
-func TestFailedOpenLeavesNoSession(t *testing.T) {
+// journalManager builds a one-session manager over the journal at path,
+// with the journal.tear rule tearAt armed (0 arms none).
+func journalManager(t *testing.T, path string, tearAt uint64) *Manager {
+	t.Helper()
 	wl, err := workload.ByName("Tomcat")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var inj *chaos.Injector
+	if tearAt > 0 {
+		inj = chaos.New(chaos.Rule{Hook: chaos.JournalTear, At: tearAt})
 	}
 	m, err := New(Options{
 		Forker: experiments.NewHarness(experiments.Config{
 			Warmup: 5_000, Measure: 10_000, Workloads: []*workload.Source{wl},
 		}),
-		JournalPath: filepath.Join(t.TempDir(), "sessions.journal"),
+		JournalPath: path,
 		MaxSessions: 1,
-		Chaos:       chaos.New(chaos.Rule{Hook: chaos.JournalTear, At: 1}),
+		Chaos:       inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Shutdown()
+	return m
+}
+
+// TestFailedOpenLeavesNoSession: an open whose journal record fails
+// leaves nothing behind — the session neither lists nor counts against
+// MaxSessions, since a restart would never rebuild it. Nor does its torn
+// record swallow the next open's: a restart restores the second session.
+func TestFailedOpenLeavesNoSession(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sessions.journal")
+	m := journalManager(t, path, 1)
 	ctx := context.Background()
 	req := Request{Schema: Schema, Predictor: "64k"}
 	if _, err := m.Open(ctx, req); err == nil || !strings.Contains(err.Error(), "journaling open") {
@@ -445,6 +458,136 @@ func TestFailedOpenLeavesNoSession(t *testing.T) {
 	}
 	if got := m.List(); len(got) != 1 || got[0].ID != st.ID {
 		t.Fatalf("sessions after one failed and one good open: %+v, want only %s", got, st.ID)
+	}
+	m.Shutdown()
+
+	m2 := journalManager(t, path, 0)
+	defer m2.Shutdown()
+	if got := m2.List(); len(got) != 1 || got[0].ID != st.ID || got[0].State != StateOpen {
+		t.Fatalf("restart restored %+v, want only %s open", got, st.ID)
+	}
+}
+
+// TestFailedCloseStaysOpen: Close journals before it changes anything.
+// When the close record's write fails, the session is still open in
+// memory, still counts against MaxSessions, and a restart on the same
+// journal finds the same state.
+func TestFailedCloseStaysOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sessions.journal")
+	m := journalManager(t, path, 2) // write 1 opens, write 2 closes
+	ctx := context.Background()
+	req := Request{Schema: Schema, Predictor: "64k"}
+	st, err := m.Open(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Close(ctx, st.ID); err == nil || !strings.Contains(err.Error(), "journaling close") {
+		t.Fatalf("close over a torn journal write: %v, want a journaling error", err)
+	}
+	got, err := m.Get(ctx, st.ID)
+	if err != nil || got.State != StateOpen {
+		t.Fatalf("after a failed close: %+v, %v; want %s open", got, err, st.ID)
+	}
+	if _, err := m.Open(ctx, req); err == nil {
+		t.Fatal("a second session was admitted past MaxSessions 1 after a failed close")
+	}
+	mem := m.List()
+	m.Shutdown()
+
+	m2 := journalManager(t, path, 0)
+	defer m2.Shutdown()
+	if disk := m2.List(); len(disk) != len(mem) || disk[0].ID != mem[0].ID || disk[0].State != mem[0].State {
+		t.Fatalf("restart restored %+v, memory held %+v", disk, mem)
+	}
+	if _, err := m2.Close(ctx, st.ID); err != nil {
+		t.Fatalf("close after the restart: %v", err)
+	}
+}
+
+// TestRestartAfterFailedBatch: a batch whose journal write failed
+// leaves a gap in the session's journal numbering, since Apply consumes
+// the entry number before it writes. A restart must number new entries
+// past the highest restored one, not by the count restored, or a later
+// batch reuses a live entry's key and the next restart replays the
+// later batch in place of the earlier one.
+func TestRestartAfterFailedBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sessions.journal")
+	ctx := context.Background()
+	batches := testStream(t, 0, 4, 100)
+	m1 := journalManager(t, path, 3) // write 1 opens, 2 is batch 1, 3 tears batch 2
+	st, err := m1.Open(ctx, Request{Schema: Schema, Predictor: "64k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := m1.Claim(ctx, st.ID, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Apply(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Apply(batches[1]); err == nil {
+		t.Fatal("batch 2 applied over a torn journal write")
+	}
+	for _, f := range batches[1:3] {
+		if _, err := c1.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m1.Shutdown()
+
+	m2 := journalManager(t, path, 0)
+	c2, err := m2.Claim(ctx, st.ID, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Apply(batches[3]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := m2.Get(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2.Shutdown()
+
+	m3 := journalManager(t, path, 0)
+	defer m3.Shutdown()
+	got, err := m3.Get(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.LastSeq != 4 || got.Branches != 400 || got.Mispredicts != want.Mispredicts {
+		t.Fatalf("second restart restored %+v, want the first restart's %+v", got, want)
+	}
+}
+
+// TestApplyAllocs pins what one Claim.Apply of a 512-branch frame
+// allocates: the frame's Outcomes string and the output log's wake
+// channel. The verdict bytes and their base64 are built on the stack.
+// The session never checkpoints here, so no checkpoint frame or event
+// adds to the count.
+func TestApplyAllocs(t *testing.T) {
+	m := testManager(t, "")
+	ctx := context.Background()
+	st, err := m.Open(ctx, Request{Schema: Schema, Predictor: "64k", CheckpointBranches: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.Claim(ctx, st.ID, "alloc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	frames := testStream(t, 0, runs+1, 512) // AllocsPerRun adds one warm-up call
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if _, err := c.Apply(frames[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if got != 2 {
+		t.Errorf("Claim.Apply of a 512-branch frame allocates %v times, want 2", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package cache materializes deterministic branch streams into compact
-// columnar in-memory buffers so the full experiment matrix synthesizes
-// each workload once per process instead of once per cell.
+// in-memory buffers so the full experiment matrix synthesizes each
+// workload once per process instead of once per cell.
 //
 // Identity and the prefix property. A buffer is keyed by the source's
 // (Name, CacheKey) pair. Sources opt in by implementing Keyer, asserting
@@ -11,17 +11,22 @@
 // the matrix's sweep budgets (e.g. 500k) share storage with its headline
 // budgets (e.g. 1.2M) instead of duplicating them.
 //
-// Storage is struct-of-arrays, 10 bytes per branch instead of the 32 of
-// []trace.Branch, replayed zero-copy by every acquirer: a 32-bit PC, a
-// 32-bit target, an 8-bit instruction gap and one packed meta byte
-// (bits 0-2 type, bit 3 taken, bit 4 target miss — the trace file
-// encoding). Every Keyer in the repository is a synthetic workload, whose
-// code sits below 2^32 (workload.Params.Validate bounds it) and whose
-// gaps are at most 64 instructions. A branch that does not fit — PC or
-// target at or above 2^32, gap above 255 — ends the materialized stream
-// with a sticky error naming its index, like a generator error: requests
-// past it fail rather than replay a truncated or altered stream, and
-// prefixes before it still replay.
+// Storage is one 32-bit record per branch into a per-stream table of
+// distinct sites, replayed zero-copy by every acquirer. A site is a
+// (PC, target, type) triple; a record holds its site's table index in
+// bits 0-21, the instruction gap in bits 22-29, taken in bit 30 and
+// target miss in bit 31. Server streams are long walks over a bounded
+// static branch set — the catalog's 1.2M-branch prefixes touch 2,599
+// (Kafka) to 5,029 (Charlie) sites — so the table costs little:
+// `traceinfo -workload all -branches 1200000` reports 68,417,736
+// resident bytes, 4.07 per branch, where 32-bit PC and target columns
+// took 10. PCs and targets fit at any width. A branch fits unless its
+// gap exceeds 255 instructions or its site would be the stream's
+// (2^22+1)-th distinct one, which no stream of at most 4,194,304
+// branches can reach. The first branch that does not fit ends the
+// materialized stream with a sticky error naming its index, like a
+// generator error: requests past it fail rather than replay a truncated
+// or altered stream, and prefixes before it still replay.
 //
 // Lifecycle: Acquire returns a ref-counted Handle (itself a
 // trace.BatchSource) pinning the entry; Release unpins it. Population is
@@ -35,6 +40,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"llbp/internal/telemetry"
@@ -43,18 +49,33 @@ import (
 
 // Keyer is implemented by trace.Sources whose stream is a pure function
 // of (Name, CacheKey) — same pair, same branches, on every Open — and
-// whose branches fit the columns: PC and target below 2^32, at most 255
-// instructions per gap. Sources without it are not cached (their content
-// may change between Opens, e.g. a rewritten trace file).
+// whose branches fit the records: at most 255 instructions per gap and
+// at most 2^22 distinct (PC, target, type) sites. Sources without it
+// are not cached (their content may change between Opens, e.g. a
+// rewritten trace file).
 type Keyer interface {
 	// CacheKey returns the stream identity beyond the name (typically
 	// the synthesis seed).
 	CacheKey() uint64
 }
 
-// bytesPerBranch is the columnar footprint: 4 (PC) + 4 (target) +
-// 1 (instructions) + 1 (meta).
-const bytesPerBranch = 10
+// Record layout: the site's index in the entry's table, the
+// instruction gap, and the two per-branch outcome bits.
+const (
+	siteBits = 22
+	maxSites = 1 << siteBits
+	siteMask = maxSites - 1
+	gapShift = siteBits
+	takenBit = 1 << 30
+	missBit  = 1 << 31
+)
+
+// bytesPerRecord is a branch's footprint in recs; bytesPerSite is one
+// entry of the sites table: PC, target and type, padded to 8.
+const (
+	bytesPerRecord = 4
+	bytesPerSite   = 24
+)
 
 // materializeChunk is the generator read granularity during population.
 const materializeChunk = 8192
@@ -62,9 +83,9 @@ const materializeChunk = 8192
 // DefaultBudgetBytes bounds the process-wide Default cache. The full
 // experiment matrix keeps 17.8M branches resident: 1.2M per workload at
 // the headline budgets (`traceinfo -workload all -branches 1200000`
-// reports 168,000,000 bytes) plus ExtScale's extension of Tomcat to
-// 2.2M. At 10 bytes per branch that is 178,000,000 bytes (≈170 MiB), so
-// 512 MiB holds everything with headroom.
+// reports 68,417,736 bytes) plus ExtScale's extension of Tomcat to
+// 2.2M, which adds 4,000,000 bytes of records and no new site. That is
+// 72,417,736 bytes (≈69 MiB), so 512 MiB holds everything with headroom.
 const DefaultBudgetBytes = 512 << 20
 
 type key struct {
@@ -72,24 +93,32 @@ type key struct {
 	seed uint64
 }
 
-// entry is one materialized stream. The columns and gen are guarded by
+// site is one distinct static branch of a stream.
+type site struct {
+	pc, target uint64
+	typ        trace.BranchType
+}
+
+// entry is one materialized stream. recs, sites and gen are guarded by
 // mu (the singleflight lock); refs/tick by the owning Cache's mutex.
+// sites is append-only: a fill adds sites past the ones earlier handles
+// snapshotted, and never rewrites those.
 type entry struct {
 	key key
 
-	mu      sync.Mutex
-	pcs     []uint32
-	targets []uint32
-	instrs  []uint8
-	meta    []uint8
-	gen     trace.BatchReader // retained generator, nil until first fill
-	genErr  error             // sticky terminal error (io.EOF = finite stream done)
+	mu     sync.Mutex
+	recs   []uint32
+	sites  []site
+	gen    trace.BatchReader // retained generator, nil until first fill
+	genErr error             // sticky terminal error (io.EOF = finite stream done)
 
 	refs int
 	tick uint64
 }
 
-func (e *entry) bytes() int64 { return int64(len(e.pcs)) * bytesPerBranch }
+func (e *entry) bytes() int64 {
+	return int64(len(e.recs))*bytesPerRecord + int64(len(e.sites))*bytesPerSite
+}
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
@@ -220,7 +249,7 @@ func (c *Cache) Acquire(src trace.Source, n uint64) (*Handle, error) {
 	// Singleflight: the entry lock serializes population; concurrent
 	// acquirers of the same key wait here and find the prefix ready.
 	e.mu.Lock()
-	if uint64(len(e.pcs)) < n && e.genErr == nil {
+	if uint64(len(e.recs)) < n && e.genErr == nil {
 		c.countMiss()
 		if err := c.fill(e, src, n); err != nil {
 			e.mu.Unlock()
@@ -230,25 +259,14 @@ func (c *Cache) Acquire(src trace.Source, n uint64) (*Handle, error) {
 	} else {
 		c.countHit()
 	}
-	if e.genErr != nil && !trace.IsEOF(e.genErr) && uint64(len(e.pcs)) < n {
+	if e.genErr != nil && !trace.IsEOF(e.genErr) && uint64(len(e.recs)) < n {
 		err := e.genErr
 		e.mu.Unlock()
 		c.release(e)
 		return nil, fmt.Errorf("cache: materializing %s: %w", k.name, err)
 	}
-	m := n
-	if uint64(len(e.pcs)) < m {
-		m = uint64(len(e.pcs))
-	}
-	h := &Handle{
-		c:       c,
-		e:       e,
-		name:    k.name,
-		pcs:     e.pcs[:m],
-		targets: e.targets[:m],
-		instrs:  e.instrs[:m],
-		meta:    e.meta[:m],
-	}
+	m := min(n, uint64(len(e.recs)))
+	h := &Handle{c: c, e: e, name: k.name, recs: e.recs[:m], sites: e.sites}
 	e.mu.Unlock()
 
 	c.mu.Lock()
@@ -267,23 +285,22 @@ func keyOf(src trace.Source) (key, bool) {
 	return key{name: src.Name(), seed: ker.CacheKey()}, true
 }
 
-// fill extends e's columns to n branches by resuming (or opening) the
+// fill extends e's records to n branches by resuming (or opening) the
 // generator. Caller holds e.mu. Terminal generator errors, and the first
-// branch that does not fit the columns, are recorded sticky in e.genErr;
-// the columns keep every branch before it, so prefix requests still
+// branch that does not fit a record, are recorded sticky in e.genErr;
+// the records keep every branch before it, so prefix requests still
 // succeed.
 func (c *Cache) fill(e *entry, src trace.Source, n uint64) error {
 	if e.gen == nil {
 		e.gen = trace.OpenBatched(src)
 	}
 	before := e.bytes()
-	need := n - uint64(len(e.pcs))
-	if grow := int(n) - cap(e.pcs); grow > 0 {
-		e.pcs = append(make([]uint32, 0, n), e.pcs...)
-		e.targets = append(make([]uint32, 0, n), e.targets...)
-		e.instrs = append(make([]uint8, 0, n), e.instrs...)
-		e.meta = append(make([]uint8, 0, n), e.meta...)
+	need := n - uint64(len(e.recs))
+	if n > uint64(cap(e.recs)) {
+		e.recs = append(make([]uint32, 0, n), e.recs...)
 	}
+	var idx siteIndex
+	idx.rehash(e.sites, 1<<10)
 	scratch := make([]trace.Branch, materializeChunk)
 	for need > 0 {
 		chunk := scratch
@@ -293,22 +310,19 @@ func (c *Cache) fill(e *entry, src trace.Source, n uint64) error {
 		got, err := e.gen.ReadBatch(chunk)
 		for i := 0; i < got; i++ {
 			b := &chunk[i]
-			if b.PC > math.MaxUint32 || b.Target > math.MaxUint32 || b.Instructions > math.MaxUint8 {
-				got, err = i, fmt.Errorf("branch %d (pc %#x, target %#x, %d instructions) does not fit the cache's 32-bit addresses and 8-bit gaps",
-					len(e.pcs), b.PC, b.Target, b.Instructions)
+			s := site{pc: b.PC, target: b.Target, typ: b.Type}
+			slot, id, found := idx.find(e.sites, s)
+			rec, ok := pack(id, b)
+			if !ok {
+				got, err = i, fmt.Errorf("branch %d (pc %#x, target %#x, %d instructions, site %d) does not fit the cache's 8-bit gaps and %d-site table",
+					len(e.recs), b.PC, b.Target, b.Instructions, id, maxSites)
 				break
 			}
-			m := uint8(b.Type)
-			if b.Taken {
-				m |= 1 << 3
+			if !found {
+				e.sites = append(e.sites, s)
+				idx.add(slot, e.sites)
 			}
-			if b.MispredictedTarget {
-				m |= 1 << 4
-			}
-			e.pcs = append(e.pcs, uint32(b.PC))
-			e.targets = append(e.targets, uint32(b.Target))
-			e.instrs = append(e.instrs, uint8(b.Instructions))
-			e.meta = append(e.meta, m)
+			e.recs = append(e.recs, rec)
 		}
 		need -= uint64(got)
 		if err != nil {
@@ -321,6 +335,80 @@ func (c *Cache) fill(e *entry, src trace.Source, n uint64) error {
 	c.resident += e.bytes() - before
 	c.mu.Unlock()
 	return nil
+}
+
+// pack builds the record of branch b, whose site sits at index id of
+// its entry's table. It reports false when id or b's gap does not fit.
+func pack(id int, b *trace.Branch) (uint32, bool) {
+	if id >= maxSites || b.Instructions > math.MaxUint8 {
+		return 0, false
+	}
+	rec := uint32(id) | b.Instructions<<gapShift
+	if b.Taken {
+		rec |= takenBit
+	}
+	if b.MispredictedTarget {
+		rec |= missBit
+	}
+	return rec, true
+}
+
+// siteIndex maps a site to its index in an entry's table while the
+// entry fills; it is built from the table at the start of each fill and
+// dropped at its end. It is an open-addressing hash set of table
+// indexes plus one (0 marks an empty slot), kept at most half full.
+type siteIndex struct {
+	slots []uint32
+	shift uint // 64 - log2(len(slots)): the hash's top bits pick a slot
+}
+
+// rehash rebuilds x over every site of sites, with at least minSlots
+// slots.
+func (x *siteIndex) rehash(sites []site, minSlots int) {
+	size := minSlots
+	for size < 2*len(sites) {
+		size *= 2
+	}
+	x.slots = make([]uint32, size)
+	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for id, s := range sites {
+		i := int(s.hash() >> x.shift)
+		for x.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		x.slots[i] = uint32(id + 1)
+	}
+}
+
+// find returns s's index in sites and true, or, when s is new, the slot
+// add fills, the index s will take (len(sites)) and false.
+func (x *siteIndex) find(sites []site, s site) (slot, id int, found bool) {
+	mask := len(x.slots) - 1
+	for i := int(s.hash() >> x.shift); ; i = (i + 1) & mask {
+		v := x.slots[i]
+		if v == 0 {
+			return i, len(sites), false
+		}
+		if sites[v-1] == s {
+			return i, int(v - 1), true
+		}
+	}
+}
+
+// add records the last site of sites in the slot find returned for it,
+// growing the index when it passes half full.
+func (x *siteIndex) add(slot int, sites []site) {
+	x.slots[slot] = uint32(len(sites))
+	if 2*len(sites) > len(x.slots) {
+		x.rehash(sites, 2*len(x.slots))
+	}
+}
+
+// hash mixes all three fields; the multiply carries every input bit
+// into the top bits the index reads.
+func (s site) hash() uint64 {
+	return (s.pc ^ bits.RotateLeft64(s.target, 29) ^ uint64(s.typ)<<59) * 0x9E3779B97F4A7C15
 }
 
 // countHit / countMiss bump the stats under c.mu (Acquire calls them

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,8 @@ import (
 )
 
 // keyedSource is a deterministic in-memory Source implementing Keyer.
+// Its branches cycle over keyedSites sites, so a stream longer than that
+// reuses its site table as a server workload does.
 type keyedSource struct {
 	name     string
 	seed     uint64
@@ -20,13 +24,16 @@ type keyedSource struct {
 	opens    int // Opens observed (synthesis count proxy); not race-guarded, single-threaded tests only
 }
 
+const keyedSites = 97
+
 func newKeyedSource(name string, seed uint64, n int) *keyedSource {
 	out := make([]trace.Branch, n)
 	for i := range out {
+		site := i % keyedSites
 		out[i] = trace.Branch{
-			PC:           seed<<20 + uint64(i)*4,
-			Target:       seed<<20 + uint64(i)*4 + 64,
-			Type:         trace.BranchType(i % 6),
+			PC:           seed<<20 + uint64(site)*4,
+			Target:       seed<<20 + uint64(site)*4 + 64,
+			Type:         trace.BranchType(site % 6),
 			Taken:        i%3 == 0,
 			Instructions: uint32(i%9 + 1),
 		}
@@ -40,6 +47,28 @@ func (s *keyedSource) Open() trace.Reader {
 	return trace.NewSliceReader(s.branches)
 }
 func (s *keyedSource) CacheKey() uint64 { return s.seed }
+
+// footprint is the resident bytes the cache counts for branches: one
+// record per branch plus one table entry per distinct (PC, target, type)
+// site, counted here with a map.
+func footprint(branches []trace.Branch) int64 {
+	sites := map[site]bool{}
+	for _, b := range branches {
+		sites[site{pc: b.PC, target: b.Target, typ: b.Type}] = true
+	}
+	return int64(len(branches))*bytesPerRecord + int64(len(sites))*bytesPerSite
+}
+
+// prefix reads the first n branches of src straight from its generator.
+func prefix(t testing.TB, src trace.Source, n int) []trace.Branch {
+	t.Helper()
+	out := make([]trace.Branch, n)
+	got, err := trace.OpenBatched(src).ReadBatch(out)
+	if err != nil || got != n {
+		t.Fatalf("reading %d branches of %s: got %d, %v", n, src.Name(), got, err)
+	}
+	return out
+}
 
 // drain replays all of src into a slice.
 func drain(t *testing.T, src trace.Source) []trace.Branch {
@@ -146,7 +175,7 @@ func TestPrefixSharingAndExtension(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 2 {
 		t.Errorf("stats = %+v, want 1 hit (prefix) / 2 misses (initial+extension)", s)
 	}
-	if s.BytesResident != 2000*bytesPerBranch || s.Entries != 1 {
+	if s.BytesResident != footprint(src.branches) || s.Entries != 1 {
 		t.Errorf("occupancy = %+v", s)
 	}
 	h1.Release()
@@ -253,57 +282,123 @@ func TestGeneratorError(t *testing.T) {
 	}
 }
 
-// TestMisfitBranch: a branch the 10-byte columns cannot hold — PC or
-// target at 2^32, or a 256-instruction gap — ends the stream with a
-// sticky error naming its index. Requests past it fail; a handle taken
-// earlier for a prefix, and prefix requests after it, still replay.
+// TestMisfitBranch: a branch whose gap does not fit a record's 8 bits
+// ends the stream with a sticky error naming its index. Requests past it
+// fail; a handle taken earlier for a prefix, and prefix requests after
+// it, still replay. PCs and targets fit at any width.
 func TestMisfitBranch(t *testing.T) {
+	src := newKeyedSource("gap", 6, 1000)
+	src.branches[700].Instructions = 256
+	c := New(1 << 20)
+	early, err := c.Acquire(src, 300)
+	if err != nil {
+		t.Fatalf("prefix before the misfit: %v", err)
+	}
+	for _, n := range []uint64{1000, 701, 800} {
+		_, err := c.Acquire(src, n)
+		if err == nil || !strings.Contains(err.Error(), "branch 700 ") {
+			t.Fatalf("Acquire(%d) = %v, want an error naming branch 700", n, err)
+		}
+	}
+	if got := drain(t, early); len(got) != 300 || got[299] != src.branches[299] {
+		t.Fatalf("early prefix handle replays %d branches", len(got))
+	}
+	early.Release()
+	h, err := c.Acquire(src, 700)
+	if err != nil {
+		t.Fatalf("prefix up to the misfit: %v", err)
+	}
+	if got := drain(t, h); len(got) != 700 || got[699] != src.branches[699] {
+		t.Fatalf("prefix handle replays %d branches", len(got))
+	}
+	h.Release()
+	if src.opens != 1 {
+		t.Errorf("source opened %d times, want 1", src.opens)
+	}
+
 	for _, tc := range []struct {
 		name string
 		mod  func(*trace.Branch)
 	}{
-		{"pc", func(b *trace.Branch) { b.PC = 1 << 32 }},
-		{"target", func(b *trace.Branch) { b.Target = 1 << 32 }},
-		{"gap", func(b *trace.Branch) { b.Instructions = 256 }},
+		{"pc 2^32", func(b *trace.Branch) { b.PC = 1 << 32 }},
+		{"pc 2^64-1", func(b *trace.Branch) { b.PC = math.MaxUint64 }},
+		{"target 2^32", func(b *trace.Branch) { b.Target = 1 << 32 }},
+		{"target 2^64-1", func(b *trace.Branch) { b.Target = math.MaxUint64 }},
 	} {
 		src := newKeyedSource(tc.name, 6, 1000)
 		tc.mod(&src.branches[700])
-		c := New(1 << 20)
-		early, err := c.Acquire(src, 300)
+		h, err := New(1<<20).Acquire(src, 1000)
 		if err != nil {
-			t.Fatalf("%s: prefix before the misfit: %v", tc.name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, n := range []uint64{1000, 701, 800} {
-			_, err := c.Acquire(src, n)
-			if err == nil || !strings.Contains(err.Error(), "branch 700 ") {
-				t.Fatalf("%s: Acquire(%d) = %v, want an error naming branch 700", tc.name, n, err)
-			}
-		}
-		if got := drain(t, early); len(got) != 300 || got[299] != src.branches[299] {
-			t.Fatalf("%s: early prefix handle replays %d branches", tc.name, len(got))
-		}
-		early.Release()
-		h, err := c.Acquire(src, 700)
-		if err != nil {
-			t.Fatalf("%s: prefix up to the misfit: %v", tc.name, err)
-		}
-		if got := drain(t, h); len(got) != 700 || got[699] != src.branches[699] {
-			t.Fatalf("%s: prefix handle replays %d branches", tc.name, len(got))
+		if got := drain(t, h); !reflect.DeepEqual(got, src.branches) {
+			t.Errorf("%s: replay differs from the source", tc.name)
 		}
 		h.Release()
-		if src.opens != 1 {
-			t.Errorf("%s: source opened %d times, want 1", tc.name, src.opens)
-		}
 	}
 }
 
-// TestBytesPerBranch: the footprint the budget counts is the columns'
-// element sizes.
+// TestPackSiteBoundary: a record indexes 2^22 sites, 0 through 2^22-1;
+// the next site is refused. pack is what fill checks each branch with,
+// so the bound is tested without materializing 4M sites.
+func TestPackSiteBoundary(t *testing.T) {
+	b := trace.Branch{Taken: true, MispredictedTarget: true, Instructions: 255}
+	rec, ok := pack(maxSites-1, &b)
+	if !ok {
+		t.Fatalf("site %d refused", maxSites-1)
+	}
+	if rec&siteMask != maxSites-1 || rec>>gapShift&0xff != 255 || rec&takenBit == 0 || rec&missBit == 0 {
+		t.Fatalf("record %#x lost a field of site %d, gap 255, taken, target miss", rec, maxSites-1)
+	}
+	if _, ok := pack(maxSites, &b); ok {
+		t.Fatalf("site %d packed into a %d-bit index", maxSites, siteBits)
+	}
+}
+
+// TestCatalogRoundTrip: every catalog workload, acquired at 200,000
+// branches, replays exactly its generator's stream through both Read and
+// ReadBatch.
+func TestCatalogRoundTrip(t *testing.T) {
+	const n = 200_000
+	c := New(0)
+	for _, wl := range workload.Catalog() {
+		want := prefix(t, wl, n)
+		h, err := c.Acquire(wl, n)
+		if err != nil {
+			t.Fatalf("%s: %v", wl.Name(), err)
+		}
+		if got := drain(t, h); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Read replay differs from the generator", wl.Name())
+		}
+		got := make([]trace.Branch, 0, n)
+		buf := make([]trace.Branch, 4096)
+		r := h.OpenBatch()
+		for {
+			k, err := r.ReadBatch(buf)
+			got = append(got, buf[:k]...)
+			if err != nil {
+				if !trace.IsEOF(err) {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ReadBatch replay differs from the generator", wl.Name())
+		}
+		h.Release()
+	}
+}
+
+// TestBytesPerBranch: the footprint the budget counts is the element
+// sizes of the records and the site table.
 func TestBytesPerBranch(t *testing.T) {
 	var e entry
-	cols := unsafe.Sizeof(e.pcs[0]) + unsafe.Sizeof(e.targets[0]) + unsafe.Sizeof(e.instrs[0]) + unsafe.Sizeof(e.meta[0])
-	if cols != bytesPerBranch {
-		t.Fatalf("columns hold %d bytes per branch, bytesPerBranch = %d", cols, bytesPerBranch)
+	if got := unsafe.Sizeof(e.recs[0]); got != bytesPerRecord {
+		t.Errorf("a record holds %d bytes, bytesPerRecord = %d", got, bytesPerRecord)
+	}
+	if got := unsafe.Sizeof(e.sites[0]); got != bytesPerSite {
+		t.Errorf("a site holds %d bytes, bytesPerSite = %d", got, bytesPerSite)
 	}
 }
 
@@ -311,12 +406,14 @@ func TestBytesPerBranch(t *testing.T) {
 // entries, in least-recently-used order; pinned entries survive even
 // over budget.
 func TestEvictionLRUAndPinning(t *testing.T) {
-	per := int64(100 * bytesPerBranch)
-	c := New(2 * per) // room for two 100-branch entries
-
 	a := newKeyedSource("a", 1, 100)
 	b := newKeyedSource("b", 2, 100)
 	d := newKeyedSource("d", 3, 100)
+	per := footprint(a.branches)
+	if footprint(b.branches) != per || footprint(d.branches) != per {
+		t.Fatal("the three sources differ in footprint")
+	}
+	c := New(2 * per) // room for two 100-branch entries
 
 	ha, _ := c.Acquire(a, 100)
 	ha.Release()
@@ -405,9 +502,10 @@ func TestConcurrentAcquire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budget fits one ~20k-branch entry but not both workloads at full
-	// length, forcing evictions while handles churn.
-	c := New(25_000 * bytesPerBranch)
+	// Budget fits either workload at its full 12,500 branches but not
+	// both, forcing evictions while handles churn.
+	budget := footprint(prefix(t, wl, 12_500)) + footprint(prefix(t, wl2, 12_500)) - 1
+	c := New(budget)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -458,7 +556,7 @@ func TestConcurrentAcquire(t *testing.T) {
 	if s.Hits+s.Misses != 48 {
 		t.Errorf("acquire count = %d, want 48 (%+v)", s.Hits+s.Misses, s)
 	}
-	if s.BytesResident > 25_000*bytesPerBranch {
+	if s.BytesResident > budget {
 		t.Errorf("over budget at rest: %+v", s)
 	}
 }
@@ -523,7 +621,7 @@ func TestTelemetryAttach(t *testing.T) {
 	if snap.Counters["trace_cache_misses"] != 1 || snap.Counters["trace_cache_hits"] != 1 {
 		t.Errorf("live-attached counters: %+v", snap.Counters)
 	}
-	if snap.Gauges["trace_cache_bytes_resident"] != 50*bytesPerBranch {
+	if snap.Gauges["trace_cache_bytes_resident"] != float64(footprint(src.branches)) {
 		t.Errorf("bytes gauge: %+v", snap.Gauges)
 	}
 
@@ -541,8 +639,11 @@ func TestTelemetryAttach(t *testing.T) {
 // TestSetBudgetEvicts: shrinking the budget evicts immediately.
 func TestSetBudgetEvicts(t *testing.T) {
 	c := New(1 << 20)
+	var per int64
 	for i := 0; i < 4; i++ {
-		h, err := c.Acquire(newKeyedSource(string(rune('a'+i)), uint64(i), 100), 100)
+		src := newKeyedSource(string(rune('a'+i)), uint64(i), 100)
+		per = footprint(src.branches)
+		h, err := c.Acquire(src, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +652,7 @@ func TestSetBudgetEvicts(t *testing.T) {
 	if s := c.Stats(); s.Entries != 4 {
 		t.Fatalf("setup: %+v", s)
 	}
-	c.SetBudget(150 * bytesPerBranch) // room for one entry
+	c.SetBudget(per + per/2) // room for one entry
 	if s := c.Stats(); s.Entries != 1 || s.Evictions != 3 {
 		t.Fatalf("after shrink: %+v", s)
 	}
@@ -561,7 +662,8 @@ func TestSetBudgetEvicts(t *testing.T) {
 // 1M-branch Tomcat handle through ReadBatch in sim.Run's 4096-branch
 // batches, so ns/op over 2^20 is the decode's ns per branch, the cost
 // perfbench reports as trace.decode_ns_per_branch. SetBytes counts the
-// stored column bytes, so MB/s is the bandwidth the decode reads.
+// 4-byte records, so MB/s is the record bandwidth the decode reads (the
+// site table, a few thousand entries, stays in cache).
 func BenchmarkHandleReadBatch(b *testing.B) {
 	wl, err := workload.ByName("Tomcat")
 	if err != nil {
@@ -574,7 +676,7 @@ func BenchmarkHandleReadBatch(b *testing.B) {
 	}
 	defer h.Release()
 	buf := make([]trace.Branch, 4096)
-	b.SetBytes(n * bytesPerBranch)
+	b.SetBytes(n * bytesPerRecord)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -586,5 +688,28 @@ func BenchmarkHandleReadBatch(b *testing.B) {
 				b.Fatalf("after %d branches: %v", got, err)
 			}
 		}
+	}
+}
+
+// BenchmarkAcquire times the fill: one op materializes 1,048,576 Tomcat
+// branches into a fresh cache, so ns/op over 2^20 is the generator plus
+// the site lookup and packing per branch, the cost perfbench reports as
+// workload.gen_ns_per_branch.
+func BenchmarkAcquire(b *testing.B) {
+	wl, err := workload.ByName("Tomcat")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 1 << 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h, err := New(0).Acquire(wl, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if h.Len() != n {
+			b.Fatalf("handle holds %d branches, want %d", h.Len(), n)
+		}
+		h.Release()
 	}
 }

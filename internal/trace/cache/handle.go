@@ -10,19 +10,17 @@ import (
 // Handle is a pinned view of a materialized stream prefix. It implements
 // trace.Source and trace.BatchSource, so it drops into any replay loop;
 // every Open replays the identical branches the underlying source would
-// produce, decoded on the fly from the shared columnar buffer. Release
-// the handle when replay is done so the entry becomes evictable; the
-// columns a handle snapshot references stay valid even if the entry is
-// later evicted or extended.
+// produce, decoded on the fly from the shared records and site table.
+// Release the handle when replay is done so the entry becomes evictable;
+// the records and sites a handle snapshot references stay valid even if
+// the entry is later evicted or extended.
 type Handle struct {
 	c    *Cache
 	e    *entry
 	name string
 
-	pcs     []uint32
-	targets []uint32
-	instrs  []uint8
-	meta    []uint8
+	recs  []uint32
+	sites []site // every site recs refers to; the entry may append more
 
 	released atomic.Bool
 }
@@ -36,7 +34,7 @@ var (
 func (h *Handle) Name() string { return h.name }
 
 // Len returns the number of branches the handle replays.
-func (h *Handle) Len() int { return len(h.pcs) }
+func (h *Handle) Len() int { return len(h.recs) }
 
 // Release unpins the backing cache entry. Idempotent. Readers already
 // opened keep working (they read the snapshot, not the entry).
@@ -64,11 +62,7 @@ func (h *Handle) Tail(skip uint64) trace.Source {
 	if skip == 0 {
 		return h
 	}
-	s := len(h.pcs)
-	if skip < uint64(s) {
-		s = int(skip)
-	}
-	return &tailView{h: h, skip: s}
+	return &tailView{h: h, skip: int(min(skip, uint64(len(h.recs))))}
 }
 
 // tailView is a positioned view over a Handle's snapshot.
@@ -86,7 +80,7 @@ var (
 func (v *tailView) Name() string { return v.h.name }
 
 // Len returns the number of branches the view replays.
-func (v *tailView) Len() int { return len(v.h.pcs) - v.skip }
+func (v *tailView) Len() int { return len(v.h.recs) - v.skip }
 
 // Open implements trace.Source.
 func (v *tailView) Open() trace.Reader { return &handleReader{h: v.h, pos: v.skip} }
@@ -94,30 +88,31 @@ func (v *tailView) Open() trace.Reader { return &handleReader{h: v.h, pos: v.ski
 // OpenBatch implements trace.BatchSource.
 func (v *tailView) OpenBatch() trace.BatchReader { return &handleReader{h: v.h, pos: v.skip} }
 
-// handleReader decodes branches out of the columnar snapshot.
+// handleReader decodes branches out of the handle's snapshot.
 type handleReader struct {
 	h   *Handle
 	pos int
 }
 
-// expand writes one stored branch into b: the only decode of the
-// columns, shared by Read and ReadBatch.
-func expand(b *trace.Branch, pc, target uint32, instrs, meta uint8) {
-	b.PC = uint64(pc)
-	b.Target = uint64(target)
-	b.Type = trace.BranchType(meta & 0x7)
-	b.Taken = meta&(1<<3) != 0
-	b.MispredictedTarget = meta&(1<<4) != 0
-	b.Instructions = uint32(instrs)
+// expand writes the branch rec stores into b: the only decode of a
+// record, shared by Read and ReadBatch.
+func expand(b *trace.Branch, rec uint32, sites []site) {
+	s := &sites[rec&siteMask]
+	b.PC = s.pc
+	b.Target = s.target
+	b.Type = s.typ
+	b.Taken = rec&takenBit != 0
+	b.MispredictedTarget = rec&missBit != 0
+	b.Instructions = rec >> gapShift & 0xff
 }
 
 // Read implements trace.Reader.
 func (r *handleReader) Read(b *trace.Branch) error {
 	h, i := r.h, r.pos
-	if i >= len(h.pcs) {
+	if i >= len(h.recs) {
 		return io.EOF
 	}
-	expand(b, h.pcs[i], h.targets[i], h.instrs[i], h.meta[i])
+	expand(b, h.recs[i], h.sites)
 	r.pos++
 	return nil
 }
@@ -128,7 +123,7 @@ func (r *handleReader) ReadBatch(dst []trace.Branch) (int, error) {
 		return 0, nil
 	}
 	h, lo := r.h, r.pos
-	rem := len(h.pcs) - lo
+	rem := len(h.recs) - lo
 	if rem <= 0 {
 		return 0, io.EOF
 	}
@@ -136,15 +131,12 @@ func (r *handleReader) ReadBatch(dst []trace.Branch) (int, error) {
 	if len(out) > rem {
 		out = out[:rem]
 	}
-	// Columns re-sliced to out's length let the compiler drop the
-	// per-branch bounds checks.
+	// Records re-sliced to out's length let the compiler drop their
+	// per-branch bounds check; the site lookup keeps one.
 	n := len(out)
-	pcs := h.pcs[lo : lo+n]
-	targets := h.targets[lo : lo+n]
-	instrs := h.instrs[lo : lo+n]
-	meta := h.meta[lo : lo+n]
+	recs, sites := h.recs[lo:lo+n], h.sites
 	for i := range out {
-		expand(&out[i], pcs[i], targets[i], instrs[i], meta[i])
+		expand(&out[i], recs[i], sites)
 	}
 	r.pos += n
 	if n < len(dst) {

@@ -58,14 +58,6 @@ const (
 	fnStride   = 0x1000 // address space per function
 	instrWidth = 4
 
-	// maxFunctions is the largest Functions count whose code stays
-	// below 2^32, the width the trace cache stores PCs and targets in.
-	// The last function starts one stride below 2^32, and it is a leaf
-	// of at most four sites, so its PCs and targets (pc+64) fit its
-	// stride. Lower functions sit below 2^31 + codeBase and would need
-	// bodies of 2^29 sites to reach 2^32.
-	maxFunctions = (1<<32 - codeBase) / fnStride
-
 	// maxLoopInner is the most sites a loop body holds, so a loop site
 	// takes up to loopSitePCs PCs: the loop branch and its body.
 	maxLoopInner = 4

@@ -145,10 +145,6 @@ func (p Params) Validate() error {
 	if p.Functions < 2 {
 		return fmt.Errorf("workload %s: need at least 2 functions", p.Name)
 	}
-	if p.Functions > maxFunctions {
-		return fmt.Errorf("workload %s: %d functions put code addresses at or above 2^32 (at most %d fit)",
-			p.Name, p.Functions, maxFunctions)
-	}
 	if p.RequestTypes < 1 || p.RequestTypes > p.Functions {
 		return fmt.Errorf("workload %s: requestTypes %d out of range [1,%d]", p.Name, p.RequestTypes, p.Functions)
 	}

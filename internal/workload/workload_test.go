@@ -303,30 +303,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestValidationAddressBound: Validate admits the largest Functions
-// count whose code stays below 2^32 and rejects one more, naming the
-// bound. New builds no program, so the largest count costs nothing here.
-func TestValidationAddressBound(t *testing.T) {
-	if codeBase+maxFunctions*fnStride > 1<<32 || codeBase+(maxFunctions+1)*fnStride <= 1<<32 {
-		t.Fatalf("maxFunctions %d is not the last whole stride below 2^32", maxFunctions)
-	}
-	p := Catalog()[0].Params()
-	p.Functions = maxFunctions
-	if _, err := New(p); err != nil {
-		t.Fatalf("%d functions rejected: %v", p.Functions, err)
-	}
-	p.Functions++
-	_, err := New(p)
-	if err == nil {
-		t.Fatalf("%d functions accepted", p.Functions)
-	}
-	for _, want := range []string{"2^32", "1047552"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %s", err, want)
-		}
-	}
-}
-
 // TestValidationBodyBound: Validate admits function bodies whose site
 // PCs and return PC fit the function stride, CondMax + CallMax +
 // 5·LoopMax <= 1023, and rejects one PC more. At the bound every site
